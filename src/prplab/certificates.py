@@ -316,7 +316,11 @@ def parse_certificate(text: str) -> CubicCertificate:
             for item in value.split():
                 if item[-1] not in "+-":
                     raise CertificateError(f"malformed step label {item!r}")
-                labels.append((int(item[:-1]), 1 if item[-1] == "+" else -1))
+                try:
+                    gi = int(item[:-1])
+                except ValueError:
+                    raise CertificateError(f"malformed step label {item!r}") from None
+                labels.append((gi, 1 if item[-1] == "+" else -1))
             steps.append(labels)
         else:
             fields[key] = value

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .words import TreeWord, identity, level_strings
+from .words import TreeWord, WordError, identity, level_strings
 
 BRUTE_FORCE_CAP = 16
 
@@ -95,11 +95,12 @@ def check_cubic_by_support(elements: list[TreeWord], m: int) -> SupportCheck:
     problems: list[str] = []
     supports: list[set[str]] = []
     for idx, g in enumerate(elements):
-        if not g.fixes_level(m):
+        try:
+            supp = g.support(m)
+        except WordError:
             problems.append(f"element {idx} does not stabilize level {m}")
             supports.append(set())
             continue
-        supp = g.support(m)
         supports.append(supp)
         if not supp:
             problems.append(f"element {idx} is trivial on level {m}")

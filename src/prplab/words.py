@@ -65,6 +65,27 @@ def reduce_letters(raw: str) -> str:
     return "".join(stack)
 
 
+def _join(u: str, v: str) -> str:
+    """Normal form of u + v for reduced u and v.
+
+    Only the seam can cancel: equal letters annihilate pairwise inward
+    from it, and the first two distinct letters of {b,c,d} to meet there
+    merge into the third, which then sits between an 'a' and an 'a' (or a
+    word end) and stops the cancellation.
+    """
+    i, j = len(u), 0
+    while i and j < len(v):
+        x, y = u[i - 1], v[j]
+        if x == y:
+            i -= 1
+            j += 1
+        elif x != "a" and y != "a":
+            return u[: i - 1] + _KLEIN[(x, y)] + v[j + 1 :]
+        else:
+            break
+    return u[:i] + v[j:]
+
+
 @dataclass(frozen=True)
 class TreeWord:
     """A reduced word at a level offset, denoting one tree automorphism."""
@@ -83,11 +104,11 @@ class TreeWord:
 
     def __mul__(self, other: "TreeWord") -> "TreeWord":
         self._check_compatible(other)
-        return TreeWord(self.omega, self.offset, reduce_letters(self.letters + other.letters))
+        return _reduced(self.omega, self.offset, _join(self.letters, other.letters))
 
     def inverse(self) -> "TreeWord":
         # All four generators are involutions, so inversion is reversal.
-        return TreeWord(self.omega, self.offset, self.letters[::-1])
+        return _reduced(self.omega, self.offset, self.letters[::-1])
 
     def _check_compatible(self, other: "TreeWord") -> None:
         if self.omega != other.omega:
@@ -141,8 +162,8 @@ class TreeWord:
                 right.append(v0)
         k1 = self.offset + 1
         return SectionPair(
-            left=TreeWord(self.omega, k1, reduce_letters("".join(left))),
-            right=TreeWord(self.omega, k1, reduce_letters("".join(right))),
+            left=_reduced(self.omega, k1, reduce_letters("".join(left))),
+            right=_reduced(self.omega, k1, reduce_letters("".join(right))),
             swapped=bool(e),
         )
 
@@ -179,8 +200,33 @@ class TreeWord:
                 bits[n + 1] ^= 1
         return bits.decode("ascii")
 
-    def fixes_level(self, m: int) -> bool:
-        return all(self.act(s) == s for s in level_strings(m))
+    def fixes_level(self, m: int, leaves: list[tuple[str, "TreeWord"]] | None = None) -> bool:
+        """True iff the word fixes every string of length m.
+
+        One walk down the sections, in O(m * len) letters instead of
+        acting on all 2^m strings: the word fixes level m exactly when no
+        section at a vertex above level m swaps. When `leaves` is given,
+        the nonempty sections at level m are appended to it as
+        (vertex, section) pairs in lexicographic order; they are complete
+        only when the result is True.
+        """
+        if m < 0:
+            raise WordError("level must be nonnegative")
+        stack: list[tuple[str, TreeWord]] = [("", self)]
+        while stack:
+            path, g = stack.pop()
+            if not g.letters:
+                continue
+            if len(path) == m:
+                if leaves is not None:
+                    leaves.append((path, g))
+                continue
+            pair = g.sections()
+            if pair.swapped:
+                return False
+            stack.append((path + "1", pair.right))
+            stack.append((path + "0", pair.left))
+        return True
 
     # -- the word problem --------------------------------------------------
 
@@ -216,29 +262,17 @@ class TreeWord:
 
         Defined only for words fixing level m pointwise.
         """
-        if not self.fixes_level(m):
+        leaves: list[tuple[str, TreeWord]] = []
+        if not self.fixes_level(m, leaves):
             raise WordError(f"word does not stabilize level {m}")
-        out: set[str] = set()
-
-        def walk(g: TreeWord, path: str) -> None:
-            if not g.letters:
-                return
-            if len(path) == m:
-                if not g.is_identity():
-                    out.add(path)
-                return
-            pair = g.sections()
-            walk(pair.left, path + "0")
-            walk(pair.right, path + "1")
-
-        walk(self, "")
-        return out
+        return {path for path, g in leaves if not g.is_identity()}
 
     def in_rist(self, s: str) -> bool:
         """True iff the word fixes every string not beginning with s."""
-        if not self.fixes_level(len(s)):
+        leaves: list[tuple[str, TreeWord]] = []
+        if not self.fixes_level(len(s), leaves):
             return False
-        return self.support(len(s)) <= {s}
+        return all(path == s or g.is_identity() for path, g in leaves)
 
     def word_length(self, gen_set: str = "abcd") -> int:
         """Letter count; in 'abc' mode each d costs 2 (d = bc).
@@ -260,6 +294,19 @@ class SectionPair:
     left: TreeWord
     right: TreeWord
     swapped: bool
+
+
+def _reduced(omega: OmegaSequence, offset: int, letters: str) -> TreeWord:
+    """A TreeWord from letters this module already reduced, unchecked.
+
+    Products, inverses and sections are reduced by construction, so the
+    full check in __post_init__ would only reduce them a second time.
+    """
+    w = object.__new__(TreeWord)
+    object.__setattr__(w, "omega", omega)
+    object.__setattr__(w, "offset", offset)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def identity(omega: OmegaSequence, offset: int = 0) -> TreeWord:
@@ -286,12 +333,12 @@ def _is_identity(omega: OmegaSequence, cpos: int, letters: str) -> bool:
         return False
     if len(letters) == 1:
         return omega.constant_from(letters, cpos)
-    g = TreeWord(omega, cpos, letters)
-    pair = g.sections()
+    pair = _reduced(omega, cpos, letters).sections()
     for child in (pair.left, pair.right):
         # Contraction must strictly shrink the word, else the recursion
         # would not terminate.
-        assert len(child.letters) <= (len(letters) + 1) // 2
+        if len(child.letters) > (len(letters) + 1) // 2:
+            raise WordError(f"section of {letters!r} does not contract")
     left_ok = _is_identity(omega, omega.canonical_pos(cpos + 1), pair.left.letters)
     if not left_ok:
         return False

@@ -147,6 +147,13 @@ class TestSerialization:
         with pytest.raises(CertificateError, match="alpha"):
             parse_certificate(text)
 
+    @pytest.mark.parametrize("label", ["x+", "+"])
+    def test_malformed_step_label(self, label):
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))
+        text = text.replace("step: 1+", f"step: {label}", 1)
+        with pytest.raises(CertificateError, match="malformed step label"):
+            parse_certificate(text)
+
     def test_malformed_move(self):
         with pytest.raises(Exception):
             NielsenMove.parse("Q+1,2")

@@ -90,6 +90,20 @@ def test_cert_verify_rejects_tampered(capsys, tmp_path):
     assert "status=INVALID" in out and "failure=" in out
 
 
+@pytest.mark.parametrize("label", ["x+", "+"])
+def test_cert_verify_malformed_step_label_is_usage_error(capsys, tmp_path, label):
+    path = tmp_path / "cert.txt"
+    run_cli(capsys, "cert", "build", "--omega", "dcb", "--m", "2", "--out", str(path))
+    lines = path.read_text().splitlines()
+    step_idx = next(i for i, ln in enumerate(lines) if ln.startswith("step:"))
+    lines[step_idx] = f"step: {label}"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "cert", "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert "malformed step label" in err and "Traceback" not in err
+
+
 def test_prp_components_two_classes(capsys):
     code, out, _ = run_cli(capsys, "prp", "components", "--group", "zpn", "--p", "3", "--n", "2")
     assert code == 0
