@@ -4,16 +4,24 @@ Vertices are generating n-tuples; the moves R(i,j,s): g_j <- g_j * g_i^s
 and L(i,j,s): g_j <- g_i^s * g_j give a 4n(n-1)-regular symmetric
 multigraph. Breadth-first exploration deduplicates through backend
 canonical keys, falling back to exact equality when a backend's keys are
-fingerprints.
+fingerprints. Balls over Z^d and Z_p^d, and censuses over Z_p^d, run on
+int64 arrays of packed coordinates instead of element objects.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-from .backends import GroupBackend
+import numpy as np
+
+from .backends import (
+    FreeAbelianBackend,
+    FreeAbelianElement,
+    GroupBackend,
+    ModVectorBackend,
+    ModVectorElement,
+)
 
 
 class PrpError(ValueError):
@@ -194,10 +202,23 @@ def ball(
 ) -> BallTable | tuple[BallTable, list[tuple[tuple, tuple]]]:
     """Exact BFS layer counts out to the radius or until the budget.
 
-    The budget bounds stored vertices; when it fires the partially
-    explored layer is dropped and the table is flagged truncated.
-    Optionally collects the explored undirected edges for small dumps.
+    A layer is kept iff the ball including it has at most `budget`
+    vertices; otherwise the table stops at the previous layer and is
+    flagged truncated. Z^d and Z_p^d tuples take the numpy frontier
+    search below; other backends, and calls that collect the explored
+    undirected edges for small dumps, take the generic loop.
     """
+    if not collect_edges:
+        abelian = _abelian_layout(backend, start)
+        if abelian is not None:
+            table = _ball_numpy(*abelian, start, radius, budget)
+            if table is not None:
+                return table
+    return _ball_generic(backend, start, radius, budget, collect_edges)
+
+
+def _ball_generic(backend, start, radius, budget, collect_edges=False):
+    """The per-element BFS over any backend; the numpy path's oracle."""
     n = len(start)
     moves = moves_for(n)
     table = BallTable(origin=start, degree=len(moves))
@@ -213,10 +234,10 @@ def ball(
                 neigh = apply_move(backend, entries, move)
                 if collect_edges:
                     edges.append((entries, neigh))
-                if visited.count >= budget:
-                    table.truncated = True
-                    return (table, edges) if collect_edges else table
                 if visited.add(neigh):
+                    if visited.count > budget:
+                        table.truncated = True
+                        return (table, edges) if collect_edges else table
                     nxt.append(neigh)
         frontier = nxt
         table.rows.append((r, visited.count))
@@ -227,24 +248,124 @@ def ball(
     return (table, edges) if collect_edges else table
 
 
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.components = size
+# Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
+_CHUNK_KEYS = 1 << 18
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.components -= 1
+def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | None:
+    """(p, d) when the numpy path can take the tuple, p = 0 meaning Z^d.
+
+    None for other backends and for entries the backend's own arithmetic
+    would reject or reduce first (wrong type, dimension or modulus, or a
+    residue outside 0..p-1); the generic loop handles those as before.
+    """
+    if isinstance(backend, ModVectorBackend):
+        p, kind = backend.p, ModVectorElement
+    elif isinstance(backend, FreeAbelianBackend):
+        p, kind = 0, FreeAbelianElement
+    else:
+        return None
+    for e in start:
+        if type(e) is not kind or len(e.coords) != backend.d:
+            return None
+        if p and (e.p != p or not all(0 <= c < p for c in e.coords)):
+            return None
+    return p, backend.d
+
+
+def _key_base(p: int, bound: int, m: int) -> tuple[int, int] | None:
+    """(base, offset) packing m coordinates into one int64 key, or None.
+
+    Residues mod p pack in base p. Integer coordinates of absolute value
+    at most `bound` pack as digits c + offset in base 2 * offset + 1.
+    None when the largest key would not fit in an int64.
+    """
+    offset = 0 if p else max(1, bound)
+    base = p or 2 * offset + 1
+    return (base, offset) if base**m <= 2**63 else None
+
+
+def _pack(coords: np.ndarray, weights: np.ndarray, offset: int) -> np.ndarray:
+    """Keys of (N, m) coordinate rows; lexicographic row order is key order."""
+    return (coords + offset) @ weights
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys. A plain sort: np.unique hashes int64 keys in
+    numpy 2.x and is many times slower on the frontier's key arrays."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _unpack(keys: np.ndarray, base: int, offset: int, m: int) -> np.ndarray:
+    """The (N, m) coordinate rows of packed keys; inverse of _pack."""
+    out = np.empty((len(keys), m), dtype=np.int64)
+    for q in range(m - 1, -1, -1):
+        keys, out[:, q] = np.divmod(keys, base)
+    return out - offset
+
+
+def _ball_numpy(p: int, d: int, start: tuple, radius: int, budget: int) -> BallTable | None:
+    """Frontier search over int64 coordinate layers; None hands over to the generic loop.
+
+    The move graph is symmetric, so a neighbour of layer r-1 lies in
+    layer r-2, r-1 or r: deduplicating against the two previous layers
+    finds layer r exactly, and only three layers are ever held. In an
+    abelian group R(i,j,s) and L(i,j,s) give the same tuple, so the
+    2n(n-1) updates g_j += s * g_i cover all 4n(n-1) moves. Before each
+    layer the new coordinates are bounded by twice the largest one held;
+    if they or their packed keys could leave int64, the generic loop
+    redoes the ball with Python integers, so nothing ever wraps.
+    """
+    n = len(start)
+    m = n * d
+    table = BallTable(origin=start, degree=4 * n * (n - 1))
+    table.rows.append((0, 1))
+    coords = [c for e in start for c in e.coords]
+    held = max(map(abs, coords), default=0)
+    if _key_base(p, 2 * held, m) is None:  # the start itself may not fit in int64
+        return None
+    frontier = np.array([coords], dtype=np.int64)
+    previous = frontier[:0]
+    updates = [(i, j, s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
+    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(updates)))
+    count = 1
+    for r in range(1, radius + 1):
+        packing = _key_base(p, 2 * held, m)
+        if packing is None:
+            return None
+        base, offset = packing
+        weights = np.array([base**e for e in range(m - 1, -1, -1)], dtype=np.int64)
+        slot = weights.reshape(n, d)
+        frontier_keys = _pack(frontier, weights, offset)
+        seen = _unique(np.concatenate([frontier_keys, _pack(previous, weights, offset)]))
+        found = []
+        for lo in range(0, len(frontier), rows_per_chunk):
+            keys = frontier_keys[lo : lo + rows_per_chunk]
+            entries = frontier[lo : lo + rows_per_chunk].reshape(len(keys), n, d)
+            neighbours = [np.empty(0, dtype=np.int64)]  # n < 2 has no moves
+            for i, j, s in updates:
+                new_j = entries[:, j] + s * entries[:, i]
+                if p:
+                    new_j %= p
+                neighbours.append(keys + (new_j - entries[:, j]) @ slot[j])
+            reached = _unique(np.concatenate(neighbours))
+            found.append(reached[~np.isin(reached, seen, assume_unique=True)])
+        layer = _unique(np.concatenate(found))
+        if not len(layer):
+            # saturated: every larger ball equals the component, exactly
+            table.rows.extend((rr, count) for rr in range(r, radius + 1))
+            break
+        if count + len(layer) > budget:
+            table.truncated = True
+            break
+        count += len(layer)
+        table.rows.append((r, count))
+        previous, frontier = frontier, _unpack(layer, base, offset, m)
+        held = int(max(np.abs(frontier).max(), np.abs(previous).max()))
+    return table
 
 
 @dataclass
@@ -258,38 +379,91 @@ class ComponentCensus:
         return f"{len(self.sizes)} components: {','.join(str(s) for s in self.sizes)}"
 
 
+# Candidate tuples decoded at once while the census filters generating ones.
+_CENSUS_CHUNK = 1 << 16
+
+
 def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> ComponentCensus:
     """Full component census of the move graph on generating n-tuples.
 
-    The backend must enumerate its elements; the total candidate count
-    backend.size() ** n must stay within max_tuples.
+    The backend must be a ModVectorBackend, the only one that enumerates
+    its elements; the total candidate count backend.size() ** n must stay
+    within max_tuples. Tuple t is index sum_q c_q p^(m-1-q) over its
+    m = n*d coordinates, which is its place in itertools.product order.
+    A move is a permutation of the generating tuples, computed by index
+    arithmetic; components come from min-label propagation with pointer
+    jumping.
     """
-    if not hasattr(backend, "elements"):
+    if not isinstance(backend, ModVectorBackend):
         raise PrpError("component census requires a finite, enumerable backend")
+    if n < 0:
+        raise PrpError("tuple size must be nonnegative")
     total = backend.size() ** n
     if total > max_tuples:
         raise PrpError(f"candidate tuple count {total} exceeds bound {max_tuples}")
-    elements = list(backend.elements())
-    vertices = [
-        t for t in itertools.product(elements, repeat=n) if backend.is_generating(t)
+    p, d = backend.p, backend.d
+    m = n * d
+    weights = np.array([p**e for e in range(m - 1, -1, -1)], dtype=np.int64)
+    vertices = []
+    for lo in range(0, total, _CENSUS_CHUNK):
+        index = np.arange(lo, min(total, lo + _CENSUS_CHUNK), dtype=np.int64)
+        vertices.append(index[_spans(_unpack(index, p, 0, m).reshape(len(index), n, d), p)])
+    vertices = np.concatenate(vertices)
+    entries = _unpack(vertices, p, 0, m).reshape(len(vertices), n, d)
+    slot = weights.reshape(n, d)
+    # One array per R(i,j,+1) move: the position of each vertex's image.
+    # A move permutes the vertices, so every edge lies on a cycle of its
+    # permutation, and pulling labels along the R(i,j,+1) moves alone
+    # spreads the least label over the whole component.
+    images = [
+        np.searchsorted(
+            vertices,
+            vertices + ((entries[:, j] + entries[:, i]) % p - entries[:, j]) @ slot[j],
+        )
+        for i in range(n)
+        for j in range(n)
+        if i != j
     ]
-    index = {tuple_key(backend, t): i for i, t in enumerate(vertices)}
-    uf = UnionFind(len(vertices))
-    moves = moves_for(n)
-    for i, t in enumerate(vertices):
-        for move in moves:
-            j = index[tuple_key(backend, apply_move(backend, t, move))]
-            uf.union(i, j)
-    sizes: dict[int, int] = {}
-    for i in range(len(vertices)):
-        root = uf.find(i)
-        sizes[root] = sizes.get(root, 0) + 1
+    label = np.arange(len(vertices))
+    while True:
+        new = label.copy()
+        for image in images:
+            np.minimum(new, label[image], out=new)
+        new = new[new]  # pointer jumping: a label's own label is no larger
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label)
     return ComponentCensus(
         backend_name=backend.describe(),
         tuple_size=n,
         vertex_count=len(vertices),
-        sizes=sorted(sizes.values(), reverse=True),
+        sizes=sorted(sizes[sizes > 0].tolist(), reverse=True),
     )
+
+
+def _spans(vectors: np.ndarray, p: int) -> np.ndarray:
+    """Whether each (n, d) stack of residues spans Z_p^d, by vectorized elimination.
+
+    Each column with a nonzero entry among the remaining rows contributes
+    one to the rank; that pivot row is used to clear the column from every
+    row (itself included), by cross-multiplication so no inverse mod p is
+    needed.
+    """
+    a = vectors % p
+    count, n, d = a.shape
+    if not n:
+        return np.zeros(count, dtype=bool)
+    rank = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
+    for col in range(d):
+        column = a[:, :, col]
+        has = (column != 0).any(axis=1)
+        pivot = a[rows, (column != 0).argmax(axis=1)]
+        scale = np.where(has, pivot[:, col], 1)
+        a = (a * scale[:, None, None] - column[:, :, None] * pivot[:, None, :]) % p
+        rank += has
+    return rank == d
 
 
 def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: int = 2000) -> str:

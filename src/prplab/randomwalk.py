@@ -70,7 +70,11 @@ def _trial_seed(master: int, index: int) -> int:
 
 
 def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int):
-    """BFS distances out to radius; returns (lookup, complete_radius)."""
+    """BFS distances out to radius; returns (lookup, complete_radius, truncated).
+
+    A layer is kept iff the ball including it has at most `budget`
+    vertices, the rule `prp.ball` follows.
+    """
     moves = moves_for(len(start))
     visited = VisitedSet(backend)
     visited.add(start)
@@ -92,10 +96,10 @@ def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int)
         for entries in frontier:
             for move in moves:
                 neigh = apply_move(backend, entries, move)
-                if visited.count >= budget:
-                    truncated = True
-                    break
                 if visited.add(neigh):
+                    if visited.count > budget:
+                        truncated = True
+                        break
                     record(neigh, r)
                     nxt.append(neigh)
             if truncated:

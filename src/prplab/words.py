@@ -235,6 +235,8 @@ class TreeWord:
 
     def equals(self, other: "TreeWord") -> bool:
         self._check_compatible(other)
+        if self.letters == other.letters:
+            return True
         return (self * other.inverse()).is_identity()
 
     def order(self, cap_exponent: int = 30) -> int | None:

@@ -1,0 +1,182 @@
+"""Differential tests: the numpy abelian engine against the per-element loops.
+
+`ball` runs Z^d and Z_p^d tuples on int64 coordinate layers; the oracle
+is the generic BFS over element objects (`prp._ball_generic`).
+`components_finite` labels Z_p^d tuples by index arithmetic; the oracle
+is the union-find census over `apply_move` kept below.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prplab import prp
+from prplab.backends import FreeAbelianBackend, ModVectorBackend
+from prplab.prp import apply_move, ball, components_finite, moves_for, tuple_key
+
+
+class UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def census_oracle(backend, n: int) -> tuple[int, list[int]]:
+    """Vertex count and descending component sizes, one move at a time."""
+    elements = list(backend.elements())
+    vertices = [t for t in itertools.product(elements, repeat=n) if backend.is_generating(t)]
+    index = {tuple_key(backend, t): i for i, t in enumerate(vertices)}
+    uf = UnionFind(len(vertices))
+    for i, t in enumerate(vertices):
+        for move in moves_for(n):
+            uf.union(i, index[tuple_key(backend, apply_move(backend, t, move))])
+    sizes: dict[int, int] = {}
+    for i in range(len(vertices)):
+        root = uf.find(i)
+        sizes[root] = sizes.get(root, 0) + 1
+    return len(vertices), sorted(sizes.values(), reverse=True)
+
+
+def assert_same_ball(backend, start, radius, budget):
+    fast = ball(backend, start, radius, budget=budget)
+    slow = prp._ball_generic(backend, start, radius, budget)
+    assert (fast.rows, fast.truncated, fast.degree) == (slow.rows, slow.truncated, slow.degree)
+    return fast
+
+
+@st.composite
+def free_abelian_balls(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 3))
+    backend = FreeAbelianBackend(d)
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    start = tuple(backend.element(draw(coords)) for _ in range(n))
+    return backend, start
+
+
+@st.composite
+def mod_vector_balls(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 3))
+    backend = ModVectorBackend(p, d)
+    coords = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    start = tuple(backend.element(draw(coords)) for _ in range(n))
+    return backend, start
+
+
+# Budgets up to 400 keep the generic oracle fast and bind often, so the
+# truncation rule is exercised on both sides of every layer boundary.
+radii = st.integers(0, 6)
+budgets = st.integers(1, 400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_abelian_balls(), radii, budgets)
+def test_free_abelian_ball_matches_generic(case, radius, budget):
+    backend, start = case
+    assert_same_ball(backend, start, radius, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mod_vector_balls(), radii, budgets)
+def test_mod_vector_ball_matches_generic(case, radius, budget):
+    backend, start = case
+    assert_same_ball(backend, start, radius, budget)
+
+
+def test_numpy_path_taken_for_abelian_backends():
+    z2 = FreeAbelianBackend(2)
+    start = (z2.element((1, 0)), z2.element((0, 1)))
+    assert prp._ball_numpy(0, 2, start, 4, 10_000) is not None
+    z5 = ModVectorBackend(5, 2)
+    start = (z5.element((1, 0)), z5.element((0, 1)))
+    assert prp._ball_numpy(5, 2, start, 4, 10_000) is not None
+
+
+@pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**62 + 1, 2**70, -(2**70)])
+def test_overflow_guard_hands_over_at_the_start(big):
+    z1 = FreeAbelianBackend(1)
+    start = (z1.element((big,)), z1.element((1,)))
+    assert prp._ball_numpy(0, 1, start, 3, 10_000) is None
+    assert_same_ball(z1, start, 3, 10_000)
+    z2 = FreeAbelianBackend(2)
+    start = (z2.element((big, 0)), z2.element((0, 1)), z2.element((1, 1)))
+    assert_same_ball(z2, start, 2, 10_000)
+
+
+def test_overflow_guard_hands_over_mid_run():
+    # Base 2 * 2**30 + 1 keys two coordinates within int64 at layer 1; the
+    # coordinates then double, and layer 2's keys would not fit.
+    z1 = FreeAbelianBackend(1)
+    start = (z1.element((2**29,)), z1.element((1,)))
+    assert prp._ball_numpy(0, 1, start, 1, 10_000) is not None
+    assert prp._ball_numpy(0, 1, start, 3, 10_000) is None
+    assert_same_ball(z1, start, 1, 10_000)
+    assert_same_ball(z1, start, 3, 10_000)
+
+
+@pytest.mark.parametrize(
+    "backend, coords",
+    [(FreeAbelianBackend(1), (5,)), (FreeAbelianBackend(2), (0, 0)), (ModVectorBackend(3, 2), (1, 2))],
+)
+def test_size_one_tuple_has_no_moves(backend, coords):
+    start = (backend.element(coords),)
+    table = assert_same_ball(backend, start, 4, 10)
+    assert table.degree == 0
+    assert table.rows == [(r, 1) for r in range(5)]
+    assert not table.truncated
+
+
+def test_saturating_mod_vector_ball():
+    z3 = ModVectorBackend(3, 2)
+    start = (z3.element((1, 0)), z3.element((0, 1)))
+    table = assert_same_ball(z3, start, 9, 10_000)
+    assert not table.truncated
+    # the ball saturates at the start's component of the census
+    assert table.rows[-1] == (9, 24)
+    assert components_finite(z3, 2).sizes == [24, 24]
+
+
+def test_elements_the_backend_would_reduce_take_the_generic_path():
+    z3 = ModVectorBackend(3, 1)
+    unreduced = (prp.ModVectorElement(3, (4,)), z3.element((1,)))
+    assert prp._abelian_layout(z3, unreduced) is None
+    assert prp._abelian_layout(z3, (z3.element((1,)), z3.element((2,)))) == (3, 1)
+
+
+def small_mod_vector_cases(cap: int):
+    """Every (p, d, n) with p in {2,3,5,7}, d <= 3, n <= 4 whose oracle
+    census applies at most `cap` moves."""
+    for p in (2, 3, 5, 7):
+        for d in (1, 2, 3):
+            for n in range(5):
+                if p ** (n * d) * max(1, 4 * n * (n - 1)) <= cap:
+                    yield p, d, n
+
+
+@pytest.mark.parametrize("p, d, n", list(small_mod_vector_cases(60_000)))
+def test_census_matches_oracle(p, d, n):
+    backend = ModVectorBackend(p, d)
+    census = components_finite(backend, n)
+    assert (census.vertex_count, census.sizes) == census_oracle(backend, n)
+    assert census.tuple_size == n and census.backend_name == backend.describe()
+
+
+def test_census_rejects_negative_size():
+    with pytest.raises(prp.PrpError):
+        components_finite(ModVectorBackend(3, 1), -1)

@@ -152,6 +152,19 @@ class TestBall:
         assert table.truncated
         assert table.complete_radius < 10
 
+    def test_budget_counts_only_new_vertices(self):
+        # The Z_3^2 component of the basis has 24 tuples, reached at radius
+        # 4; a budget of exactly 24 keeps every layer. Both the numpy path
+        # and the generic loop (taken when edges are collected) follow it.
+        backend = ModVectorBackend(3, 2)
+        S = (backend.element((1, 0)), backend.element((0, 1)))
+        for table in (ball(backend, S, 8, budget=24), ball(backend, S, 8, budget=24, collect_edges=True)[0]):
+            assert not table.truncated
+            assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)] + [(r, 24) for r in range(4, 9)]
+        for table in (ball(backend, S, 8, budget=23), ball(backend, S, 8, budget=23, collect_edges=True)[0]):
+            assert table.truncated
+            assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)]
+
     def test_generation_preserved_along_bfs(self):
         backend = ModVectorBackend(3, 2)
         S = (backend.element((1, 0)), backend.element((0, 1)))

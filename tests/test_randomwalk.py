@@ -3,7 +3,7 @@ import pytest
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.prp import append_trivial
-from prplab.randomwalk import rw_speed
+from prplab.randomwalk import _distance_map, rw_speed
 from prplab.words import word
 
 
@@ -71,3 +71,15 @@ def test_small_tuple_rejected():
     backend = FreeAbelianBackend(1)
     with pytest.raises(ValueError):
         rw_speed(backend, (backend.element((1,)),), steps=1, trials=1, radius=1, seed=0)
+
+
+def test_distance_map_budget_counts_only_new_vertices():
+    # The 24-tuple Z_3^2 component fits a budget of 24: every distance,
+    # up to the eccentricity 5 of the basis, is exact.
+    backend = ModVectorBackend(3, 2)
+    start = (backend.element((1, 0)), backend.element((0, 1)))
+    lookup, complete, truncated = _distance_map(backend, start, 8, budget=24)
+    assert (complete, truncated) == (5, False)
+    assert lookup(start) == 0
+    _, complete, truncated = _distance_map(backend, start, 8, budget=23)
+    assert (complete, truncated) == (3, True)

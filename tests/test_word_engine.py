@@ -131,3 +131,18 @@ def test_contraction_guard_raises_word_error(monkeypatch):
     monkeypatch.setattr(TreeWord, "sections", bloated)
     with pytest.raises(WordError, match="contract"):
         words._is_identity.__wrapped__(CLASSICAL_OMEGA, 0, "abacabad")
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(), raw_words)
+def test_equals_matches_word_problem(g, raw):
+    # Identical letters are accepted without the word problem; every other
+    # pair still goes to it. (ad)^4 is a reduced word for the identity of
+    # the classical group, so g and g(ad)^4 differ in letters only.
+    h = word(g.omega, raw)
+    pairs = [(g, h), (h, g), (g, word(g.omega, g.letters)), (g * h, h * g)]
+    if g.omega == CLASSICAL_OMEGA:
+        pairs.append((g, g * word(g.omega, "adadadad")))
+    for x, y in pairs:
+        assert x.equals(y) == (x * y.inverse()).is_identity()
+    assert g.equals(word(g.omega, g.letters))
