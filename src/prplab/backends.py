@@ -2,10 +2,10 @@
 
 A backend packages identity, multiply, invert, equality and a hashable
 canonical key for one group, which is all the product replacement
-machinery needs. Keys are exact for the abelian backends (the key is the
-element); the tree backend keys by the induced permutation of a fixed
-level, which is only a fingerprint, so consumers must fall back to exact
-equality on key collisions (key_exact == False).
+machinery needs. Keys are exact on every backend: two elements have the
+same key iff they are equal. The abelian backends key an element by its
+coordinates (residues are reduced mod p on construction); the tree
+backend keys a word by its minimal portrait over the nucleus.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Hashable, Iterator, Sequence
 
-import numpy as np
-
 from .omega import OmegaSequence
-from .words import TreeWord, identity as word_identity, level_strings
+from .words import Portraits, TreeWord, identity as word_identity, word
 
 
 class BackendError(ValueError):
@@ -36,8 +34,13 @@ class FreeAbelianElement:
 
 @dataclass(frozen=True)
 class ModVectorElement:
+    """A vector of residues mod p; coordinates are reduced on construction."""
+
     p: int
     coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(c % self.p for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -46,11 +49,8 @@ class ModVectorElement:
 class GroupBackend(ABC):
     """Contract shared by all group backends.
 
-    equals(x, y) implies canonical_key(x) == canonical_key(y); the converse
-    holds only when key_exact is True.
+    equals(x, y) holds iff canonical_key(x) == canonical_key(y).
     """
-
-    key_exact: bool = True
 
     @property
     @abstractmethod
@@ -143,7 +143,7 @@ class ModVectorBackend(GroupBackend):
         return self._identity
 
     def element(self, coords: Sequence[int]) -> ModVectorElement:
-        coords = tuple(int(c) % self.p for c in coords)
+        coords = tuple(int(c) for c in coords)
         if len(coords) != self.d:
             raise BackendError(f"expected {self.d} coordinates, got {len(coords)}")
         return ModVectorElement(self.p, coords)
@@ -151,11 +151,11 @@ class ModVectorBackend(GroupBackend):
     def multiply(self, x: ModVectorElement, y: ModVectorElement) -> ModVectorElement:
         self._check(x)
         self._check(y)
-        return ModVectorElement(self.p, tuple((a + b) % self.p for a, b in zip(x.coords, y.coords)))
+        return ModVectorElement(self.p, tuple(a + b for a, b in zip(x.coords, y.coords)))
 
     def invert(self, x: ModVectorElement) -> ModVectorElement:
         self._check(x)
-        return ModVectorElement(self.p, tuple((-a) % self.p for a in x.coords))
+        return ModVectorElement(self.p, tuple(-a for a in x.coords))
 
     def equals(self, x: ModVectorElement, y: ModVectorElement) -> bool:
         return x.p == y.p and x.coords == y.coords
@@ -251,51 +251,26 @@ def is_generating_modvector(entries: list[ModVectorElement]) -> bool:
 class TreeBackend(GroupBackend):
     """Elements of a family group as reduced words at offset 0.
 
-    canonical_key is the permutation the word induces on one tree level
-    (fingerprint_level), stored as bytes. Distinct keys certify distinct
-    elements; equal keys do not certify equality, hence key_exact False.
-    Letter permutations are composed with numpy and memoized per word so
-    that breadth-first exploration stays cheap.
+    canonical_key is the word's minimal portrait (words.Portraits), an
+    exact key: equal keys iff equal elements. The portraits are memoized
+    per backend.
     """
 
-    key_exact = False
-
-    def __init__(self, omega: OmegaSequence, fingerprint_level: int = 7):
-        if not 1 <= fingerprint_level <= 16:
-            raise BackendError("fingerprint_level must be between 1 and 16")
+    def __init__(self, omega: OmegaSequence):
         self.omega = omega
-        self.fingerprint_level = fingerprint_level
         self._identity = word_identity(omega)
-        n = 2 ** fingerprint_level
-        strings = level_strings(fingerprint_level)
-        index = {s: i for i, s in enumerate(strings)}
-        self._letter_perm = {}
-        for letter in "abcd":
-            w = TreeWord(omega, 0, letter)
-            self._letter_perm[letter] = np.array(
-                [index[w.act(s)] for s in strings], dtype=np.int32
-            )
-        self._eye = np.arange(n, dtype=np.int32)
-        self._perm_cache: dict[str, np.ndarray] = {"": self._eye}
+        # The key memo; perfbench/worker.py reports its size under this name.
+        self._perm_cache = Portraits(omega)
 
     @property
     def identity(self) -> TreeWord:
         return self._identity
 
     def element(self, raw: str) -> TreeWord:
-        from .words import word
-
         return word(self.omega, raw, offset=0)
 
     def multiply(self, x: TreeWord, y: TreeWord) -> TreeWord:
-        z = x * y
-        if z.letters not in self._perm_cache:
-            px = self._perm_of(x)
-            py = self._perm_of(y)
-            # act(x*y, s) == act(x, act(y, s)), so the composed table is
-            # px applied after py.
-            self._perm_cache[z.letters] = px[py]
-        return z
+        return x * y
 
     def invert(self, x: TreeWord) -> TreeWord:
         return x.inverse()
@@ -304,16 +279,7 @@ class TreeBackend(GroupBackend):
         return x.equals(y)
 
     def canonical_key(self, x: TreeWord) -> Hashable:
-        return self._perm_of(x).tobytes()
-
-    def _perm_of(self, x: TreeWord) -> np.ndarray:
-        perm = self._perm_cache.get(x.letters)
-        if perm is None:
-            perm = self._eye
-            for letter in reversed(x.letters):
-                perm = self._letter_perm[letter][perm]
-            self._perm_cache[x.letters] = perm
-        return perm
+        return self._perm_cache.key(x)
 
     def is_generating(self, entries: Sequence[TreeWord]) -> None:
         # Undecidable in general; tuples are kept generating by

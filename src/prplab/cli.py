@@ -104,7 +104,7 @@ def _backend_and_start(args) -> tuple[GroupBackend, tuple, str]:
     name = getattr(args, "group", None) or "grigorchuk"
     if name == "grigorchuk" or getattr(args, "omega", None) or getattr(args, "grp", None):
         omega = _omega_from_args(args)
-        backend: GroupBackend = TreeBackend(omega, fingerprint_level=args.fingerprint_level)
+        backend: GroupBackend = TreeBackend(omega)
         entries = _tree_backend_entries(args, omega)
     else:
         backend = _finite_backend(args)
@@ -304,7 +304,6 @@ def _cmd_rw_speed(args) -> int:
         radius=args.radius,
         seed=args.seed,
         budget=args.budget,
-        threads=args.threads,
     )
     _emit(_header(args, desc, extra=f"threads-requested={args.threads}"))
     sys.stdout.write(stats.serialize())
@@ -355,7 +354,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-level", dest="max_level", type=int, default=14)
-    p.add_argument("--fingerprint-level", dest="fingerprint_level", type=int, default=7)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,16 +2,17 @@
 
 Vertices are generating n-tuples; the moves R(i,j,s): g_j <- g_j * g_i^s
 and L(i,j,s): g_j <- g_i^s * g_j give a 4n(n-1)-regular symmetric
-multigraph. Breadth-first exploration deduplicates through backend
-canonical keys, falling back to exact equality when a backend's keys are
-fingerprints. Balls over Z^d and Z_p^d, and censuses over Z_p^d, run on
-int64 arrays of packed coordinates instead of element objects.
+multigraph. One generic breadth-first loop (`bfs_layers`) serves balls,
+DOT dumps and the random walks' distance maps; it deduplicates through
+the backends' exact canonical keys. Balls over Z^d and Z_p^d, and
+censuses over Z_p^d, run on int64 arrays of packed coordinates instead
+of element objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,35 +138,54 @@ def tuple_key(backend: GroupBackend, entries: tuple) -> Hashable:
 
 
 class VisitedSet:
-    """Set of tuples keyed by canonical keys.
-
-    For backends with exact keys a plain dict suffices; for fingerprint
-    keys each bucket keeps representatives and membership falls back to
-    elementwise exact equality.
-    """
+    """Set of tuples, stored as their exact canonical keys."""
 
     def __init__(self, backend: GroupBackend):
         self.backend = backend
-        self.exact = backend.key_exact
-        self.table: dict = {}
-        self.count = 0
+        self.keys: set = set()
+
+    @property
+    def count(self) -> int:
+        return len(self.keys)
 
     def add(self, entries: tuple) -> bool:
         """Insert; True if the tuple was new."""
         key = tuple_key(self.backend, entries)
-        if self.exact:
-            if key in self.table:
-                return False
-            self.table[key] = None
-            self.count += 1
-            return True
-        bucket = self.table.setdefault(key, [])
-        for other in bucket:
-            if all(self.backend.equals(x, y) for x, y in zip(entries, other)):
-                return False
-        bucket.append(entries)
-        self.count += 1
+        if key in self.keys:
+            return False
+        self.keys.add(key)
         return True
+
+
+def bfs_layers(backend: GroupBackend, start: tuple, radius: int, budget: int) -> Iterator[list[tuple]]:
+    """The breadth-first layers around start: the one generic BFS loop.
+
+    Yields layer 0, [start], then layers 1, 2, ... up to `radius`, each a
+    list of tuples in discovery order: a layer's tuples, in order, each
+    expanded by the moves of moves_for in order. An empty layer means the
+    component is exhausted; it is yielded and ends the search. A layer is
+    yielded iff the ball including it has at most `budget` vertices, so
+    the search stops short of `radius` after a nonempty layer exactly
+    when the budget binds.
+    """
+    moves = moves_for(len(start))
+    visited = VisitedSet(backend)
+    visited.add(start)
+    layer = [start]
+    yield layer
+    for _ in range(radius):
+        nxt = []
+        for entries in layer:
+            for move in moves:
+                neigh = apply_move(backend, entries, move)
+                if visited.add(neigh):
+                    if visited.count > budget:
+                        return
+                    nxt.append(neigh)
+        layer = nxt
+        yield layer
+        if not layer:
+            return
 
 
 @dataclass
@@ -193,59 +213,34 @@ class BallTable:
         return out
 
 
-def ball(
-    backend: GroupBackend,
-    start: tuple,
-    radius: int,
-    budget: int = 5_000_000,
-    collect_edges: bool = False,
-) -> BallTable | tuple[BallTable, list[tuple[tuple, tuple]]]:
+def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_000) -> BallTable:
     """Exact BFS layer counts out to the radius or until the budget.
 
     A layer is kept iff the ball including it has at most `budget`
     vertices; otherwise the table stops at the previous layer and is
     flagged truncated. Z^d and Z_p^d tuples take the numpy frontier
-    search below; other backends, and calls that collect the explored
-    undirected edges for small dumps, take the generic loop.
+    search below; other backends take the generic loop.
     """
-    if not collect_edges:
-        abelian = _abelian_layout(backend, start)
-        if abelian is not None:
-            table = _ball_numpy(*abelian, start, radius, budget)
-            if table is not None:
-                return table
-    return _ball_generic(backend, start, radius, budget, collect_edges)
+    abelian = _abelian_layout(backend, start)
+    if abelian is not None:
+        table = _ball_numpy(*abelian, start, radius, budget)
+        if table is not None:
+            return table
+    return _ball_generic(backend, start, radius, budget)
 
 
-def _ball_generic(backend, start, radius, budget, collect_edges=False):
-    """The per-element BFS over any backend; the numpy path's oracle."""
-    n = len(start)
-    moves = moves_for(n)
-    table = BallTable(origin=start, degree=len(moves))
-    visited = VisitedSet(backend)
-    visited.add(start)
-    table.rows.append((0, 1))
-    frontier = [start]
-    edges: list[tuple[tuple, tuple]] = []
-    for r in range(1, radius + 1):
-        nxt = []
-        for entries in frontier:
-            for move in moves:
-                neigh = apply_move(backend, entries, move)
-                if collect_edges:
-                    edges.append((entries, neigh))
-                if visited.add(neigh):
-                    if visited.count > budget:
-                        table.truncated = True
-                        return (table, edges) if collect_edges else table
-                    nxt.append(neigh)
-        frontier = nxt
-        table.rows.append((r, visited.count))
-        if not frontier:
+def _ball_generic(backend: GroupBackend, start: tuple, radius: int, budget: int) -> BallTable:
+    """The ball table from bfs_layers, over any backend; the numpy path's oracle."""
+    table = BallTable(origin=start, degree=len(moves_for(len(start))))
+    count = 0
+    for r, layer in enumerate(bfs_layers(backend, start, radius, budget)):
+        count += len(layer)
+        table.rows.append((r, count))
+        if not layer:
             # saturated: every larger ball equals the component, exactly
-            table.rows.extend((rr, visited.count) for rr in range(r + 1, radius + 1))
-            break
-    return (table, edges) if collect_edges else table
+            table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
+    table.truncated = table.complete_radius < radius
+    return table
 
 
 # Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
@@ -256,8 +251,8 @@ def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | No
     """(p, d) when the numpy path can take the tuple, p = 0 meaning Z^d.
 
     None for other backends and for entries the backend's own arithmetic
-    would reject or reduce first (wrong type, dimension or modulus, or a
-    residue outside 0..p-1); the generic loop handles those as before.
+    would reject (wrong type, dimension or modulus); the generic loop
+    raises the backend's error for those.
     """
     if isinstance(backend, ModVectorBackend):
         p, kind = backend.p, ModVectorElement
@@ -268,7 +263,7 @@ def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | No
     for e in start:
         if type(e) is not kind or len(e.coords) != backend.d:
             return None
-        if p and (e.p != p or not all(0 <= c < p for c in e.coords)):
+        if p and e.p != p:
             return None
     return p, backend.d
 
@@ -467,9 +462,14 @@ def _spans(vectors: np.ndarray, p: int) -> np.ndarray:
 
 
 def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: int = 2000) -> str:
-    """DOT dump of the explored ball; refuses above max_vertices."""
-    table, edges = ball(backend, start, radius, budget=max_vertices + 1, collect_edges=True)
-    if table.truncated or table.rows[-1][1] > max_vertices:
+    """DOT dump of the explored ball; refuses above max_vertices.
+
+    Every move from each vertex of layers 0..radius-1 is one edge, listed
+    once per unordered pair of vertex names; names follow first mention.
+    """
+    layers = list(bfs_layers(backend, start, radius, budget=max_vertices + 1))
+    truncated = len(layers) <= radius and layers[-1]
+    if truncated or sum(map(len, layers)) > max_vertices:
         raise PrpError(f"ball exceeds {max_vertices} vertices; refusing DOT dump")
     names: dict = {}
 
@@ -482,12 +482,15 @@ def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: 
     lines = ["graph prp_ball {"]
     lines.append(f'  label="{backend.describe()} ball radius {radius}";')
     seen_pairs = set()
-    for a, b in edges:
-        na, nb = name_of(a), name_of(b)
-        pair = (min(na, nb), max(na, nb))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        lines.append(f"  {na} -- {nb};")
+    moves = moves_for(len(start))
+    for layer in layers[:radius]:
+        for a in layer:
+            for move in moves:
+                na, nb = name_of(a), name_of(apply_move(backend, a, move))
+                pair = (min(na, nb), max(na, nb))
+                if pair in seen_pairs:
+                    continue
+                seen_pairs.add(pair)
+                lines.append(f"  {na} -- {nb};")
     lines.append("}")
     return "\n".join(lines)

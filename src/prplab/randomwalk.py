@@ -2,21 +2,21 @@
 
 Each trial walks a fixed number of uniform moves from a padded base
 tuple and then asks how far it got. Distances are exact only inside a
-precomputed breadth-first ball; endpoints outside it are censored as
-"> R" rather than estimated. Per-trial generators are derived from the
-master seed by hashing, so results are byte-identical however many
-worker threads run the trials.
+precomputed breadth-first ball (prp.bfs_layers, keyed by the backend's
+exact canonical keys); endpoints outside it are censored as "> R"
+rather than estimated. Per-trial generators are derived from the master
+seed by hashing, so each trial's result depends only on the seed and
+its index. The trials run one after another in one thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .backends import GroupBackend
-from .prp import VisitedSet, apply_move, moves_for, tuple_key
+from .prp import apply_move, bfs_layers, moves_for, tuple_key
 
 
 @dataclass
@@ -75,55 +75,14 @@ def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int)
     A layer is kept iff the ball including it has at most `budget`
     vertices, the rule `prp.ball` follows.
     """
-    moves = moves_for(len(start))
-    visited = VisitedSet(backend)
-    visited.add(start)
     dist: dict = {}
-
-    def record(entries: tuple, d: int) -> None:
-        key = tuple_key(backend, entries)
-        if backend.key_exact:
-            dist.setdefault(key, d)
-        else:
-            dist.setdefault(key, []).append((entries, d))
-
-    record(start, 0)
-    frontier = [start]
-    complete = 0
-    truncated = False
-    for r in range(1, radius + 1):
-        nxt = []
-        for entries in frontier:
-            for move in moves:
-                neigh = apply_move(backend, entries, move)
-                if visited.add(neigh):
-                    if visited.count > budget:
-                        truncated = True
-                        break
-                    record(neigh, r)
-                    nxt.append(neigh)
-            if truncated:
-                break
-        if truncated:
-            break
-        frontier = nxt
-        complete = r
-        if not frontier:
-            break
+    for complete, layer in enumerate(bfs_layers(backend, start, radius, budget)):
+        for entries in layer:
+            dist[tuple_key(backend, entries)] = complete
+    truncated = complete < radius and bool(layer)
 
     def lookup(entries: tuple) -> int | None:
-        key = tuple_key(backend, entries)
-        if backend.key_exact:
-            d = dist.get(key)
-        else:
-            d = None
-            for other, dd in dist.get(key, []):
-                if all(backend.equals(x, y) for x, y in zip(entries, other)):
-                    d = dd
-                    break
-        if d is None or d > complete:
-            return None
-        return d
+        return dist.get(tuple_key(backend, entries))
 
     return lookup, complete, truncated
 
@@ -136,7 +95,6 @@ def rw_speed(
     radius: int,
     seed: int,
     budget: int = 200_000,
-    threads: int = 1,
 ) -> WalkStats:
     """Censored distance statistics of seeded uniform-move walks."""
     if steps < 0 or trials < 0 or radius < 0:
@@ -153,18 +111,12 @@ def rw_speed(
             entries = apply_move(backend, entries, moves[rng.randrange(len(moves))])
         return lookup(entries)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            distances = list(pool.map(run_trial, range(trials)))
-    else:
-        distances = [run_trial(i) for i in range(trials)]
-
     return WalkStats(
         steps=steps,
         trials=trials,
         seed=seed,
         censor_radius=complete,
-        distances=distances,
+        distances=[run_trial(i) for i in range(trials)],
         requested_radius=radius,
         ball_truncated=truncated,
     )

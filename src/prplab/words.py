@@ -19,7 +19,6 @@ rightmost letter applied first, so act(u*v, s) == act(u, act(v, s)).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -347,46 +346,114 @@ def _is_identity(omega: OmegaSequence, cpos: int, letters: str) -> bool:
     return _is_identity(omega, omega.canonical_pos(cpos + 1), pair.right.letters)
 
 
+class Portraits:
+    """Exact keys of tree words: minimal portraits, hash-consed to small ints.
+
+    The family group is contracting with nucleus {1, a, b_k, c_k, d_k}.
+    A word of at most one letter is a nucleus leaf: 1, a, or the letter
+    x at canonical position k, which is 1 when omega is constantly x from
+    k on, and equals the other non-constant letter y (x_k = y_k) when the
+    third letter is. A longer word is the node (swap, left, right) of its
+    sections, collapsed back to 1, a or x_k when it equals their one-level
+    expansion x_k = (a^e, x_{k+1}), e = 1 iff omega_k != x. So the
+    portrait of an element depends on the element alone, and two words at
+    the same canonical offset get the same key iff they are equal.
+    Leaves carry their position, so every key stands for one automorphism
+    and one table serves all positions.
+    """
+
+    def __init__(self, omega: OmegaSequence):
+        self.omega = omega
+        # Interned portraits: "" and "a" for 1 and a, (position, letter)
+        # for the other leaves, (swap, left, right) for nodes.
+        self._ids: dict = {"": 0, "a": 1}
+        self._words: dict[tuple[int, str], int] = {}
+        # Per position: the expansion of each nucleus element -> its key.
+        self._expansions: dict[int, dict[tuple[bool, int, int], int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def key(self, w: TreeWord) -> int:
+        omega = self.omega
+        if w.omega is not omega and w.omega != omega:
+            raise WordError("word is defined over a different sequence")
+        return self._key(omega.canonical_pos(w.offset), w.letters)
+
+    def _key(self, cpos: int, letters: str) -> int:
+        key = self._words.get((cpos, letters))
+        if key is None:
+            if len(letters) <= 1:
+                key = self._leaf(cpos, letters)
+            else:
+                pair = _reduced(self.omega, cpos, letters).sections()
+                below = self.omega.canonical_pos(cpos + 1)
+                node = (pair.swapped, self._key(below, pair.left.letters),
+                        self._key(below, pair.right.letters))
+                key = self._nucleus(cpos).get(node)
+                if key is None:
+                    key = self._intern(node)
+            self._words[(cpos, letters)] = key
+        return key
+
+    def _intern(self, portrait) -> int:
+        return self._ids.setdefault(portrait, len(self._ids))
+
+    def _leaf(self, cpos: int, letter: str) -> int:
+        if letter in ("", "a"):
+            return self._ids[letter]
+        if self.omega.constant_from(letter, cpos):
+            return self._ids[""]
+        for third in BCD:
+            if third != letter and self.omega.constant_from(third, cpos):
+                letter = min(BCD.replace(third, ""))
+        return self._intern((cpos, letter))
+
+    def _nucleus(self, cpos: int) -> dict[tuple[bool, int, int], int]:
+        table = self._expansions.get(cpos)
+        if table is None:
+            one, a = self._ids[""], self._ids["a"]
+            below = self.omega.canonical_pos(cpos + 1)
+            wk = self.omega.letter_at(cpos)
+            table = {(False, one, one): one, (True, one, one): a}
+            for x in BCD:
+                expansion = (False, one if wk == x else a, self._leaf(below, x))
+                table[expansion] = self._leaf(cpos, x)
+            self._expansions[cpos] = table
+        return table
+
+
 def same_action(u: TreeWord, v: TreeWord) -> bool:
     """Equality as tree automorphisms, allowing different offsets.
 
     Words at different offsets into the same eventually periodic sequence
     still act on one tree; this compares their section trees by
-    bisimulation. Offsets are canonicalized, so the reachable state space
-    is finite and cycles may soundly be assumed equal (any genuine
-    difference shows up as a parity mismatch at some finite depth).
+    bisimulation. Offsets are canonicalized, so the pairs of sections
+    reachable from (u, v) are finitely many; the words are equal iff no
+    reachable pair differs in its top swap, or has one trivial side while
+    the other is not the identity. A worklist visits each pair once.
     """
     if u.omega != v.omega:
         raise WordError("words are defined over different sequences")
     omega = u.omega
-    in_progress: set[tuple[int, str, int, str]] = set()
-    settled: dict[tuple[int, str, int, str], bool] = {}
-
-    def go(x: TreeWord, y: TreeWord) -> bool:
+    seen: set[tuple[int, str, int, str]] = set()
+    todo = [(u, v)]
+    while todo:
+        x, y = todo.pop()
         if x.letters.count("a") % 2 != y.letters.count("a") % 2:
             return False
-        if not x.letters:
-            return y.is_identity()
-        if not y.letters:
-            return x.is_identity()
+        if not x.letters or not y.letters:
+            if not (x.is_identity() and y.is_identity()):
+                return False
+            continue
         key = (
             omega.canonical_pos(x.offset), x.letters,
             omega.canonical_pos(y.offset), y.letters,
         )
-        if key in settled:
-            return settled[key]
-        if key in in_progress:
-            return True
-        in_progress.add(key)
+        if key in seen:
+            continue
+        seen.add(key)
         xs, ys = x.sections(), y.sections()
-        ok = go(xs.left, ys.left) and go(xs.right, ys.right)
-        in_progress.discard(key)
-        settled[key] = ok
-        return ok
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000))
-    try:
-        return go(u, v)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        todo.append((xs.right, ys.right))
+        todo.append((xs.left, ys.left))
+    return True

@@ -152,11 +152,16 @@ def test_saturating_mod_vector_ball():
     assert components_finite(z3, 2).sizes == [24, 24]
 
 
-def test_elements_the_backend_would_reduce_take_the_generic_path():
+def test_mod_vector_elements_are_reduced_on_construction():
     z3 = ModVectorBackend(3, 1)
-    unreduced = (prp.ModVectorElement(3, (4,)), z3.element((1,)))
-    assert prp._abelian_layout(z3, unreduced) is None
-    assert prp._abelian_layout(z3, (z3.element((1,)), z3.element((2,)))) == (3, 1)
+    four = prp.ModVectorElement(3, (4,))
+    assert z3.canonical_key(four) == z3.canonical_key(z3.element((1,)))
+    assert z3.equals(four, z3.element((1,)))
+    # (4) is the vertex (1): the same ball as from ((1), (1)), on both paths
+    start = (four, z3.element((1,)))
+    assert prp._abelian_layout(z3, start) == (3, 1)
+    table = assert_same_ball(z3, start, 3, 10_000)
+    assert [c for _, c in table.rows] == [1, 5, 8, 8]
 
 
 def small_mod_vector_cases(cap: int):

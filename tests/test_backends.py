@@ -14,6 +14,7 @@ from prplab.backends import (
     is_generating_modvector,
 )
 from prplab.omega import CLASSICAL_OMEGA
+from prplab.witnesses import classical_t
 from prplab.words import word
 
 
@@ -27,9 +28,9 @@ def _backend_contract(backend, elements, rng):
         assert backend.equals(backend.multiply(x, backend.invert(x)), ident)
         assert backend.equals(backend.multiply(ident, x), x)
         assert backend.equals(backend.multiply(x, ident), x)
-        # equals consistency with canonical keys
-        if backend.equals(x, y):
-            assert backend.canonical_key(x) == backend.canonical_key(y)
+        # canonical keys are exact: equal keys iff equal elements
+        assert backend.equals(x, y) == (backend.canonical_key(x) == backend.canonical_key(y))
+        assert backend.canonical_key(xy_z) == backend.canonical_key(x_yz)
         # equivalence relation spot checks
         assert backend.equals(x, x)
         assert backend.equals(x, y) == backend.equals(y, x)
@@ -56,14 +57,18 @@ def test_tree_backend_contract():
     _backend_contract(backend, pool, rng)
 
 
-def test_tree_backend_key_is_fingerprint():
-    backend = TreeBackend(CLASSICAL_OMEGA, fingerprint_level=7)
-    assert not backend.key_exact
+def test_tree_backend_key_is_exact():
+    backend = TreeBackend(CLASSICAL_OMEGA)
     u = word(CLASSICAL_OMEGA, "bc")
     v = word(CLASSICAL_OMEGA, "d")
     assert backend.equals(u, v)
     assert backend.canonical_key(u) == backend.canonical_key(v)
     assert backend.is_generating((u, v)) is None
+    # The word of `witness classical --m 7` fixes level 7, so a level-7
+    # permutation cannot tell it from the identity; its portrait can.
+    g = classical_t(7)
+    assert len(g.letters) == 512 and g.fixes_level(7) and not g.is_identity()
+    assert backend.canonical_key(g) != backend.canonical_key(backend.identity)
 
 
 class TestAbelianGeneration:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
@@ -9,6 +11,7 @@ from prplab.prp import (
     append_trivial,
     apply_move,
     apply_moves,
+    _ball_generic,
     ball,
     ball_to_dot,
     components_finite,
@@ -155,13 +158,13 @@ class TestBall:
     def test_budget_counts_only_new_vertices(self):
         # The Z_3^2 component of the basis has 24 tuples, reached at radius
         # 4; a budget of exactly 24 keeps every layer. Both the numpy path
-        # and the generic loop (taken when edges are collected) follow it.
+        # and the generic loop follow it.
         backend = ModVectorBackend(3, 2)
         S = (backend.element((1, 0)), backend.element((0, 1)))
-        for table in (ball(backend, S, 8, budget=24), ball(backend, S, 8, budget=24, collect_edges=True)[0]):
+        for table in (ball(backend, S, 8, budget=24), _ball_generic(backend, S, 8, budget=24)):
             assert not table.truncated
             assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)] + [(r, 24) for r in range(4, 9)]
-        for table in (ball(backend, S, 8, budget=23), ball(backend, S, 8, budget=23, collect_edges=True)[0]):
+        for table in (ball(backend, S, 8, budget=23), _ball_generic(backend, S, 8, budget=23)):
             assert table.truncated
             assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)]
 
@@ -256,6 +259,13 @@ class TestDot:
         text = ball_to_dot(backend, S, 2)
         assert text.startswith("graph prp_ball {")
         assert "--" in text
+
+    def test_tree_dot_names_each_vertex_of_the_ball_once(self):
+        backend = TreeBackend(CLASSICAL_OMEGA)
+        S = append_trivial(backend, tuple(word(CLASSICAL_OMEGA, x) for x in "abcd"), 1)
+        text = ball_to_dot(backend, S, 2)
+        names = set(re.findall(r"\bv\d+\b", text))
+        assert len(names) == ball(backend, S, 2).rows[-1][1] == 399
 
     def test_dot_size_guard(self, z1):
         S = (z1.element((1,)), z1.element((1,)))

@@ -29,11 +29,11 @@ def test_distance_at_most_steps():
     assert all(d <= 6 for d in stats.distances)
 
 
-def test_reproducible_across_runs_and_threads():
+def test_reproducible_across_runs():
     backend, start = tree_setup()
     runs = [
-        rw_speed(backend, start, steps=10, trials=20, radius=2, seed=11, budget=5000, threads=t)
-        for t in (1, 2, 4)
+        rw_speed(backend, start, steps=10, trials=20, radius=2, seed=11, budget=5000)
+        for _ in range(3)
     ]
     blobs = {s.serialize() for s in runs}
     assert len(blobs) == 1

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from conftest import random_omega, random_word
 from prplab.omega import OmegaSequence
+from prplab.witnesses import classical_t
 from prplab.words import (
     TreeWord,
     WordError,
@@ -220,6 +222,25 @@ class TestWordProblem:
         assert same_action(word(classical, "d", offset=1), word(classical, "b", offset=0))
         assert same_action(word(classical, "c", offset=1), word(classical, "d", offset=0))
         assert not same_action(word(classical, "b", offset=1), word(classical, "b", offset=0))
+
+    def test_same_action_leaves_the_recursion_limit_alone(self, classical, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"same_action set the recursion limit to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert same_action(word(classical, "b", offset=1), word(classical, "c", offset=0))
+        assert not same_action(word(classical, "b", offset=1), word(classical, "b", offset=0))
+        pair = word(classical, "abab").sections()
+        assert same_action(pair.left, word(classical, "ca"))
+        assert same_action(pair.right, word(classical, "ac"))
+        # only the swap parity tells the first pair apart, only the
+        # trivial-side identity check the second
+        assert not same_action(word(classical, "b"), word(classical, "ba"))
+        assert not same_action(word(classical, "a"), word(classical, "ad"))
+        # verify_classical's check on a 512-letter word, and a near miss
+        section = classical_t(7).section_at("1" * 7)
+        assert same_action(section, classical_t(0))
+        assert not same_action(section, word(classical, "abac"))
 
 
 class TestOrder:
