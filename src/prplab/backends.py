@@ -5,7 +5,9 @@ canonical key for one group, which is all the product replacement
 machinery needs. Keys are exact on every backend: two elements have the
 same key iff they are equal. The abelian backends key an element by its
 coordinates (residues are reduced mod p on construction); the tree
-backend keys a word by its minimal portrait over the nucleus.
+backend keys a word by its minimal portrait over the nucleus. Exact keys
+let the array frontier (prp._frontier) intern each distinct tree element
+as one dense id, so a ball multiplies each needed pair of elements once.
 """
 
 from __future__ import annotations

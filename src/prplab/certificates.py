@@ -10,7 +10,8 @@ the move counts after which the spare slot must equal each conjugate.
 Verification replays the path move by move and re-derives every claim:
 walk validity, rigid-stabilizer membership, cubicity of the conjugate
 family (brute force for small k, disjoint supports otherwise), checkpoint
-equalities, and the path length bound (alpha + 4) * 2^m. A verified
+equalities, alpha as the spelled witness length over 2^m (rounded up,
+at least 1), and the path length bound (alpha + 4) * 2^m. A verified
 certificate pins 2^k distinct tuples inside the ball of radius
 path_length + k around the padded base tuple, with no ball enumeration.
 """
@@ -264,6 +265,10 @@ def verify_certificate(
 
     if cert.path_length > bound:
         failures.append(f"path length {cert.path_length} exceeds ({cert.alpha}+4)*2^{m} = {bound}")
+    # alpha is checked, not taken on trust: the witness is spelled in checkpoints[0] moves
+    alpha = max(1, -(-cert.checkpoints[0] // 2**m))
+    if cert.alpha != alpha:
+        failures.append(f"alpha {cert.alpha} is not ceil({cert.checkpoints[0]}/2^{m}) = {alpha}")
 
     result.ok = not failures
     return result

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend, TreeBackend
@@ -47,7 +48,7 @@ class CliError(Exception):
 
 def _omega_from_args(args) -> OmegaSequence:
     if getattr(args, "grp", None):
-        spec = parse_grp(open(args.grp, encoding="utf-8").read())
+        spec = parse_grp(Path(args.grp).read_text(encoding="utf-8"))
         name = getattr(args, "group", None)
         if not name:
             raise CliError("--grp needs --group NAME to pick a declaration")
@@ -247,7 +248,7 @@ def _cmd_cert(args) -> int:
             sys.stdout.write(text)
         return 0
     # verify
-    text = open(args.file, encoding="utf-8").read() if args.file else sys.stdin.read()
+    text = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
     cert = parse_certificate(text)
     result = verify_certificate(cert, max_level=args.max_level, brute_cap=args.brute_cap)
     _emit(_header(args, f"family({cert.omega.describe()})"))
@@ -312,7 +313,7 @@ def _cmd_rw_speed(args) -> int:
 
 def _cmd_parse_check(args) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
+        text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

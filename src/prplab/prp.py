@@ -2,11 +2,13 @@
 
 Vertices are generating n-tuples; the moves R(i,j,s): g_j <- g_j * g_i^s
 and L(i,j,s): g_j <- g_i^s * g_j give a 4n(n-1)-regular symmetric
-multigraph. One generic breadth-first loop (`bfs_layers`) serves balls,
-DOT dumps and the random walks' distance maps; it deduplicates through
-the backends' exact canonical keys. Balls over Z^d and Z_p^d, and
-censuses over Z_p^d, run on int64 arrays of packed coordinates instead
-of element objects.
+multigraph. Balls and the random walks' distance maps run on one array
+frontier search (`_frontier`): a tuple is one packed int64 key, over
+rows of coordinates for Z^d and Z_p^d and of interned element ids for
+every other backend. When the tuples outgrow the packing, the per-object
+breadth-first loop (`bfs_layers`, deduplicating through the backends'
+exact canonical keys) redoes the work; it also serves DOT dumps and is
+the tests' oracle. Censuses over Z_p^d run on int64 index arrays.
 """
 
 from __future__ import annotations
@@ -218,37 +220,79 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
 
     A layer is kept iff the ball including it has at most `budget`
     vertices; otherwise the table stops at the previous layer and is
-    flagged truncated. Z^d and Z_p^d tuples take the numpy frontier
-    search below; other backends take the generic loop.
+    flagged truncated. The array frontier (`_frontier`) computes the
+    layers; when the tuples outgrow its int64 keys, the generic loop
+    (`bfs_layers`) redoes the whole ball.
     """
-    abelian = _abelian_layout(backend, start)
-    if abelian is not None:
-        table = _ball_numpy(*abelian, start, radius, budget)
-        if table is not None:
-            return table
-    return _ball_generic(backend, start, radius, budget)
+    table = _ball_array(backend, start, radius, budget)
+    return table if table is not None else _ball_generic(backend, start, radius, budget)
+
+
+def _ball_array(backend: GroupBackend, start: tuple, radius: int, budget: int) -> BallTable | None:
+    """The ball table from the array frontier; None hands over to the generic loop."""
+    try:
+        sizes = [len(keys) for keys, _ in _frontier(_rows_for(backend, start), radius, budget)]
+    except _HandOver:
+        return None
+    return _table(start, sizes, radius)
 
 
 def _ball_generic(backend: GroupBackend, start: tuple, radius: int, budget: int) -> BallTable:
-    """The ball table from bfs_layers, over any backend; the numpy path's oracle."""
+    """The ball table from bfs_layers, over any backend; the array path's oracle."""
+    return _table(start, [len(layer) for layer in bfs_layers(backend, start, radius, budget)], radius)
+
+
+def _table(start: tuple, sizes: list[int], radius: int) -> BallTable:
+    """The ball table of the layer sizes a BFS yielded (see bfs_layers)."""
     table = BallTable(origin=start, degree=len(moves_for(len(start))))
     count = 0
-    for r, layer in enumerate(bfs_layers(backend, start, radius, budget)):
-        count += len(layer)
+    for r, size in enumerate(sizes):
+        count += size
         table.rows.append((r, count))
-        if not layer:
+        if not size:
             # saturated: every larger ball equals the component, exactly
             table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
     table.truncated = table.complete_radius < radius
     return table
 
 
-# Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
-_CHUNK_KEYS = 1 << 18
+class _HandOver(Exception):
+    """The tuples outgrew the int64 packing; the object loop takes over."""
+
+
+class _Packing:
+    """Rows of n entries of d digits with 0 <= digit + offset < base, as int64 keys.
+
+    A key reads a row's digits in base `base`, most significant first, so
+    key order is lexicographic row order. Raises _HandOver when the
+    largest key would not fit in an int64.
+    """
+
+    def __init__(self, base: int, offset: int, n: int, d: int):
+        if base ** (n * d) > 2**63:
+            raise _HandOver
+        self.base, self.offset, self.n, self.d = base, offset, n, d
+        exponents = range(n * d - 1, -1, -1)
+        self.weights = np.array([base**e for e in exponents], dtype=np.int64).reshape(n, d)
+
+    def fits(self, values: np.ndarray) -> np.ndarray:
+        """Elementwise: whether each digit is representable."""
+        shifted = values + self.offset
+        return (shifted >= 0) & (shifted < self.base)
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        return (rows + self.offset).reshape(len(rows), self.n * self.d) @ self.weights.ravel()
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        out = np.empty((len(keys), self.n * self.d), dtype=np.int64)
+        for q in range(self.n * self.d - 1, 0, -1):
+            keys, out[:, q] = np.divmod(keys, self.base)
+        out[:, :1] = keys[:, None]  # the leading digit; base may be 2^63
+        return (out - self.offset).reshape(len(out), self.n, self.d)
 
 
 def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | None:
-    """(p, d) when the numpy path can take the tuple, p = 0 meaning Z^d.
+    """(p, d) when coordinate rows can hold the tuple, p = 0 meaning Z^d.
 
     None for other backends and for entries the backend's own arithmetic
     would reject (wrong type, dimension or modulus); the generic loop
@@ -268,99 +312,209 @@ def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | No
     return p, backend.d
 
 
-def _key_base(p: int, bound: int, m: int) -> tuple[int, int] | None:
-    """(base, offset) packing m coordinates into one int64 key, or None.
+class _CoordinateRows:
+    """Z^d (p = 0) and Z_p^d tuples as (N, n, d) int64 rows of coordinates.
 
-    Residues mod p pack in base p. Integer coordinates of absolute value
-    at most `bound` pack as digits c + offset in base 2 * offset + 1.
-    None when the largest key would not fit in an int64.
+    In an abelian group R(i,j,s) and L(i,j,s) give the same tuple, so the
+    frontier expands the 2n(n-1) R moves, g_j += s * g_i, for all 4n(n-1).
+    Residues pack in base p. Integer coordinates are bounded, before each
+    layer, by twice the largest one held, and pack with that offset, so no
+    neighbour can leave the packing and nothing ever wraps.
     """
-    offset = 0 if p else max(1, bound)
-    base = p or 2 * offset + 1
-    return (base, offset) if base**m <= 2**63 else None
+
+    def __init__(self, p: int, d: int, start: tuple):
+        self.p, self.n, self.d = p, len(start), d
+        self.moves = [move for move in moves_for(self.n) if move.kind == "R"]
+        self.held = max((abs(c) for e in start for c in e.coords), default=0)
+        self._packing(self.held)  # the start itself may not fit in int64
+        self.start = self.encode(start)[None]
+
+    def encode(self, entries: tuple, dtype=np.int64) -> np.ndarray:
+        return np.array([e.coords for e in entries], dtype=dtype).reshape(len(entries), self.d)
+
+    def packing(self, frontier: np.ndarray, previous: np.ndarray) -> _Packing:
+        held = max((int(np.abs(rows).max()) for rows in (frontier, previous) if rows.size), default=0)
+        return self._packing(held)
+
+    def _packing(self, held: int) -> _Packing:
+        if self.p:
+            return _Packing(self.p, 0, self.n, self.d)
+        offset = max(1, 2 * held)
+        return _Packing(2 * offset + 1, offset, self.n, self.d)
+
+    def walk_start(self, steps: int) -> np.ndarray:
+        """The start row in a dtype no walk of `steps` moves can overflow:
+        a move at most doubles the largest integer coordinate."""
+        if self.p or self.held << steps < 2**63:
+            return self.start
+        return self.start.astype(object)
+
+    def image(self, move: NielsenMove, entries: np.ndarray) -> np.ndarray:
+        new = entries[:, move.j - 1] + move.sign * entries[:, move.i - 1]
+        return new % self.p if self.p else new
 
 
-def _pack(coords: np.ndarray, weights: np.ndarray, offset: int) -> np.ndarray:
-    """Keys of (N, m) coordinate rows; lexicographic row order is key order."""
-    return (coords + offset) @ weights
+class _IdRows:
+    """Tuples over any backend as (N, n, 1) rows of interned element ids.
+
+    Each distinct element gets a dense id 0..E-1 through the backend's
+    exact canonical_key. Inverses fill an id vector, and products a sorted
+    array of (x, y) pair codes with the id of x * y, both lazily: only the
+    pairs a batch of rows is missing are computed, once each, with
+    backend.multiply. The products' memory follows the pairs used, not E^2.
+    Ids pack in base 2^floor(63/n); a tuple holding a larger id does not fit.
+    """
+
+    def __init__(self, backend: GroupBackend, start: tuple):
+        self.backend, self.n, self.d = backend, len(start), 1
+        self.moves = moves_for(self.n)
+        self._ids: dict = {}
+        self._elements: list = []
+        self._inverses = np.full(0, -1, dtype=np.int64)
+        # Sorted codes x << 32 | y, ending in a sentinel above every code so
+        # that searchsorted stays in range, and the id of x * y per code.
+        self._pairs = np.array([2**63 - 1], dtype=np.int64)
+        self._products = np.array([-1], dtype=np.int64)
+        self._packed = _Packing(1 << 63 // max(1, self.n), 0, self.n, 1)
+        self.start = self.encode(start)[None]
+
+    def encode(self, entries: tuple, dtype=np.int64) -> np.ndarray:
+        return np.array([self._intern(e) for e in entries], dtype=dtype).reshape(len(entries), 1)
+
+    def packing(self, frontier: np.ndarray, previous: np.ndarray) -> _Packing:
+        return self._packed
+
+    def walk_start(self, steps: int) -> np.ndarray:
+        return self.start
+
+    def image(self, move: NielsenMove, entries: np.ndarray) -> np.ndarray:
+        x, y = entries[:, move.j - 1, 0], entries[:, move.i - 1, 0]
+        if move.sign < 0:
+            y = self._inverse(y)
+        new = self._product(x, y) if move.kind == "R" else self._product(y, x)
+        return new[:, None]
+
+    def _intern(self, element) -> int:
+        key = self.backend.canonical_key(element)
+        index = self._ids.get(key)
+        if index is None:
+            index = self._ids[key] = len(self._elements)
+            self._elements.append(element)
+            if index == len(self._inverses):
+                self._inverses = np.concatenate([self._inverses, np.full(max(16, index), -1)])
+        return index
+
+    def _inverse(self, x: np.ndarray) -> np.ndarray:
+        missing = x[self._inverses[x] < 0]
+        for a in _unique([missing]).tolist():
+            inverse = self._intern(self.backend.invert(self._elements[a]))
+            self._inverses[a] = inverse
+        return self._inverses[x]
+
+    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        codes = x << 32 | y
+        pos = np.searchsorted(self._pairs, codes)
+        missing = self._pairs[pos] != codes
+        if missing.any():
+            new = _unique([codes[missing]])
+            elements = self._elements
+            ids = [self._intern(self.backend.multiply(elements[c >> 32], elements[c & 0xFFFFFFFF]))
+                   for c in new.tolist()]
+            order = np.argsort(np.concatenate([self._pairs, new]))
+            self._pairs = np.concatenate([self._pairs, new])[order]
+            self._products = np.concatenate([self._products, ids])[order]
+            pos = np.searchsorted(self._pairs, codes)
+        return self._products[pos]
 
 
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys. A plain sort: np.unique hashes int64 keys in
-    numpy 2.x and is many times slower on the frontier's key arrays."""
-    keys = np.sort(keys)
+def _rows_for(backend: GroupBackend, start: tuple):
+    """Array rows for the tuple: coordinates over Z^d and Z_p^d, interned ids
+    over other backends. Raises _HandOver for abelian entries the backend
+    would reject, so the generic loop reports the backend's error."""
+    layout = _abelian_layout(backend, start)
+    if layout is not None:
+        return _CoordinateRows(*layout, start)
+    if isinstance(backend, (FreeAbelianBackend, ModVectorBackend)):
+        raise _HandOver
+    return _IdRows(backend, start)
+
+
+# Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
+_CHUNK_KEYS = 1 << 18
+
+
+def _unique(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct keys of the parts; empties `parts`, so that their
+    memory can go before the result is built. A plain sort: np.unique
+    hashes int64 keys in numpy 2.x and is many times slower on key arrays."""
+    keys = np.concatenate(parts)
+    parts.clear()
+    keys.sort()
     first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
 
 
-def _unpack(keys: np.ndarray, base: int, offset: int, m: int) -> np.ndarray:
-    """The (N, m) coordinate rows of packed keys; inverse of _pack."""
-    out = np.empty((len(keys), m), dtype=np.int64)
-    for q in range(m - 1, -1, -1):
-        keys, out[:, q] = np.divmod(keys, base)
-    return out - offset
+def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each key is in the sorted array `table`."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return table[pos] == keys
 
 
-def _ball_numpy(p: int, d: int, start: tuple, radius: int, budget: int) -> BallTable | None:
-    """Frontier search over int64 coordinate layers; None hands over to the generic loop.
+def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Packing]]:
+    """The BFS layers of bfs_layers, as (sorted int64 keys, packing) pairs.
 
-    The move graph is symmetric, so a neighbour of layer r-1 lies in
-    layer r-2, r-1 or r: deduplicating against the two previous layers
-    finds layer r exactly, and only three layers are ever held. In an
-    abelian group R(i,j,s) and L(i,j,s) give the same tuple, so the
-    2n(n-1) updates g_j += s * g_i cover all 4n(n-1) moves. Before each
-    layer the new coordinates are bounded by twice the largest one held;
-    if they or their packed keys could leave int64, the generic loop
-    redoes the ball with Python integers, so nothing ever wraps.
+    Yields layer 0, then each kept layer, under bfs_layers' rules for the
+    budget and for an exhausted component. The move graph is symmetric,
+    so a neighbour of layer r-1 lies in layer r-2, r-1 or r: deduplicating
+    against the two previous layers finds layer r exactly, and about three
+    layers are held. The frontier is expanded in chunks; a layer's new
+    keys are merged whenever the unmerged ones outnumber half the merged,
+    which bounds the memory of a layer by a small multiple of its size,
+    and the layer is abandoned as soon as the merged ones exceed the
+    budget. Raises _HandOver when a neighbour does not fit the packing,
+    before its key could alias another tuple's.
     """
-    n = len(start)
-    m = n * d
-    table = BallTable(origin=start, degree=4 * n * (n - 1))
-    table.rows.append((0, 1))
-    coords = [c for e in start for c in e.coords]
-    held = max(map(abs, coords), default=0)
-    if _key_base(p, 2 * held, m) is None:  # the start itself may not fit in int64
-        return None
-    frontier = np.array([coords], dtype=np.int64)
-    previous = frontier[:0]
-    updates = [(i, j, s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
-    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(updates)))
+    packing = rows.packing(rows.start, rows.start)
+    if not packing.fits(rows.start).all():
+        raise _HandOver
+    keys = packing.pack(rows.start)
+    yield keys, packing
+    previous = rows.start[:0]
+    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(rows.moves)))
     count = 1
-    for r in range(1, radius + 1):
-        packing = _key_base(p, 2 * held, m)
-        if packing is None:
-            return None
-        base, offset = packing
-        weights = np.array([base**e for e in range(m - 1, -1, -1)], dtype=np.int64)
-        slot = weights.reshape(n, d)
-        frontier_keys = _pack(frontier, weights, offset)
-        seen = _unique(np.concatenate([frontier_keys, _pack(previous, weights, offset)]))
-        found = []
+    for _ in range(radius):
+        frontier = packing.unpack(keys)
+        packing = rows.packing(frontier, previous)
+        frontier_keys = packing.pack(frontier)
+        seen = _unique([frontier_keys, packing.pack(previous)])
+        parts = [keys[:0]]  # the merged new keys, then the unmerged ones
         for lo in range(0, len(frontier), rows_per_chunk):
-            keys = frontier_keys[lo : lo + rows_per_chunk]
-            entries = frontier[lo : lo + rows_per_chunk].reshape(len(keys), n, d)
-            neighbours = [np.empty(0, dtype=np.int64)]  # n < 2 has no moves
-            for i, j, s in updates:
-                new_j = entries[:, j] + s * entries[:, i]
-                if p:
-                    new_j %= p
-                neighbours.append(keys + (new_j - entries[:, j]) @ slot[j])
-            reached = _unique(np.concatenate(neighbours))
-            found.append(reached[~np.isin(reached, seen, assume_unique=True)])
-        layer = _unique(np.concatenate(found))
-        if not len(layer):
-            # saturated: every larger ball equals the component, exactly
-            table.rows.extend((rr, count) for rr in range(r, radius + 1))
-            break
-        if count + len(layer) > budget:
-            table.truncated = True
-            break
-        count += len(layer)
-        table.rows.append((r, count))
-        previous, frontier = frontier, _unpack(layer, base, offset, m)
-        held = int(max(np.abs(frontier).max(), np.abs(previous).max()))
-    return table
+            entries = frontier[lo : lo + rows_per_chunk]
+            chunk_keys = frontier_keys[lo : lo + rows_per_chunk]
+            neighbours = [chunk_keys[:0]]  # n < 2 has no moves
+            for move in rows.moves:
+                new = rows.image(move, entries)
+                if not packing.fits(new).all():
+                    raise _HandOver
+                old = entries[:, move.j - 1]
+                neighbours.append(chunk_keys + (new - old) @ packing.weights[move.j - 1])
+            reached = _unique(neighbours)
+            parts.append(reached[~_member(reached, seen)])
+            if sum(map(len, parts[1:])) > max(len(parts[0]) // 2, _CHUNK_KEYS):
+                parts = [_unique(parts)]
+                if count + len(parts[0]) > budget:
+                    return
+        keys = _unique(parts)
+        if len(keys) and count + len(keys) > budget:
+            return
+        count += len(keys)
+        yield keys, packing
+        if not len(keys):
+            return
+        previous = frontier
 
 
 @dataclass
@@ -396,16 +550,15 @@ def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> Componen
     total = backend.size() ** n
     if total > max_tuples:
         raise PrpError(f"candidate tuple count {total} exceeds bound {max_tuples}")
-    p, d = backend.p, backend.d
-    m = n * d
-    weights = np.array([p**e for e in range(m - 1, -1, -1)], dtype=np.int64)
+    p = backend.p
+    packing = _Packing(p, 0, n, backend.d)
     vertices = []
     for lo in range(0, total, _CENSUS_CHUNK):
         index = np.arange(lo, min(total, lo + _CENSUS_CHUNK), dtype=np.int64)
-        vertices.append(index[_spans(_unpack(index, p, 0, m).reshape(len(index), n, d), p)])
+        vertices.append(index[_spans(packing.unpack(index), p)])
     vertices = np.concatenate(vertices)
-    entries = _unpack(vertices, p, 0, m).reshape(len(vertices), n, d)
-    slot = weights.reshape(n, d)
+    entries = packing.unpack(vertices)
+    slot = packing.weights
     # One array per R(i,j,+1) move: the position of each vertex's image.
     # A move permutes the vertices, so every edge lies on a cycle of its
     # permutation, and pulling labels along the R(i,j,+1) moves alone

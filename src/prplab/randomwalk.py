@@ -2,21 +2,38 @@
 
 Each trial walks a fixed number of uniform moves from a padded base
 tuple and then asks how far it got. Distances are exact only inside a
-precomputed breadth-first ball (prp.bfs_layers, keyed by the backend's
-exact canonical keys); endpoints outside it are censored as "> R"
-rather than estimated. Per-trial generators are derived from the master
-seed by hashing, so each trial's result depends only on the seed and
-its index. The trials run one after another in one thread.
+precomputed breadth-first ball, the sorted per-layer keys of the array
+frontier (prp._frontier); endpoints outside it, or not representable
+in a layer's packing, are censored as "> R" rather than estimated.
+Per-trial generators are derived from the master seed by hashing, so
+each trial's result depends only on the seed and its index. A block of
+trials steps together on the frontier's rows (element ids or
+coordinates), one move index per trial and step; when the ball outgrows
+the int64 keys, the walks step on element tuples instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from .backends import GroupBackend
-from .prp import apply_move, bfs_layers, moves_for, tuple_key
+from .prp import (
+    NielsenMove,
+    _frontier,
+    _HandOver,
+    _member,
+    _rows_for,
+    apply_move,
+    bfs_layers,
+    moves_for,
+    tuple_key,
+)
 
 
 @dataclass
@@ -69,22 +86,83 @@ def _trial_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# Trials walked at once on the array engine; bounds the walk's arrays.
+_TRIAL_BLOCK = 1 << 12
+
+
+class _ArrayDistances:
+    """Distances from the array frontier: each layer's sorted keys and packing.
+
+    Walks step on rows (interned ids, or coordinates in a dtype wide
+    enough for the walk); an endpoint is looked up in the layers whose
+    packing can represent it, so an endpoint no packing represents is
+    censored and never aliases a ball key.
+    """
+
+    def __init__(self, rows, layers: list):
+        self.rows, self.layers = rows, layers
+
+    def __call__(self, entries: tuple) -> int | None:
+        return self._distances(self.rows.encode(entries, dtype=object)[None])[0]
+
+    def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
+        """Distances of the walks that take moves[draws[t, s]] at step s."""
+        ends = np.repeat(self.rows.walk_start(draws.shape[1]), len(draws), axis=0)
+        for choice in draws.T:
+            for k in np.flatnonzero(np.bincount(choice, minlength=len(moves))).tolist():
+                at = np.flatnonzero(choice == k)
+                ends[at, moves[k].j - 1] = self.rows.image(moves[k], ends[at])
+        return self._distances(ends)
+
+    def _distances(self, ends: np.ndarray) -> list[int | None]:
+        dist = np.full(len(ends), -1)
+        for r, (keys, packing) in enumerate(self.layers):
+            fit = packing.fits(ends).reshape(len(ends), -1).all(axis=1)
+            at = np.flatnonzero(fit & (dist < 0))
+            hit = _member(packing.pack(ends[at].astype(np.int64)), keys)
+            dist[at[hit]] = r
+        return [None if d < 0 else d for d in dist.tolist()]
+
+
+class _ObjectDistances:
+    """Distances from bfs_layers, keyed by tuple_key; walks step on element tuples."""
+
+    def __init__(self, backend: GroupBackend, start: tuple, layers: list[list[tuple]]):
+        self.backend, self.start = backend, start
+        self.dist = {tuple_key(backend, t): r for r, layer in enumerate(layers) for t in layer}
+
+    def __call__(self, entries: tuple) -> int | None:
+        return self.dist.get(tuple_key(self.backend, entries))
+
+    def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
+        out = []
+        for trial in draws.tolist():
+            entries = self.start
+            for k in trial:
+                entries = apply_move(self.backend, entries, moves[k])
+            out.append(self(entries))
+        return out
+
+
 def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int):
     """BFS distances out to radius; returns (lookup, complete_radius, truncated).
 
-    A layer is kept iff the ball including it has at most `budget`
-    vertices, the rule `prp.ball` follows.
+    lookup(entries) is a tuple's distance or None, and lookup.walk(moves,
+    draws) walks and looks up in one go. The map runs on the array
+    frontier (prp._frontier); when the tuples outgrow its int64 keys,
+    bfs_layers and per-object walks take over. A layer is kept iff the
+    ball including it has at most `budget` vertices, the rule `prp.ball`
+    follows.
     """
-    dist: dict = {}
-    for complete, layer in enumerate(bfs_layers(backend, start, radius, budget)):
-        for entries in layer:
-            dist[tuple_key(backend, entries)] = complete
-    truncated = complete < radius and bool(layer)
-
-    def lookup(entries: tuple) -> int | None:
-        return dist.get(tuple_key(backend, entries))
-
-    return lookup, complete, truncated
+    try:
+        rows = _rows_for(backend, start)
+        layers = list(_frontier(rows, radius, budget))
+        lookup, last = _ArrayDistances(rows, layers), layers[-1][0]
+    except _HandOver:
+        layers = list(bfs_layers(backend, start, radius, budget))
+        lookup, last = _ObjectDistances(backend, start, layers), layers[-1]
+    complete = len(layers) - 1
+    return lookup, complete, complete < radius and len(last) > 0
 
 
 def rw_speed(
@@ -104,19 +182,22 @@ def rw_speed(
         raise ValueError("tuples of size < 2 admit no moves")
     lookup, complete, truncated = _distance_map(backend, start, radius, budget)
 
-    def run_trial(index: int) -> int | None:
+    def draws(index: int) -> Iterator[int]:
         rng = random.Random(_trial_seed(seed, index))
-        entries = start
-        for _ in range(steps):
-            entries = apply_move(backend, entries, moves[rng.randrange(len(moves))])
-        return lookup(entries)
+        return (rng.randrange(len(moves)) for _ in range(steps))
 
+    distances: list[int | None] = []
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        block = range(lo, min(trials, lo + _TRIAL_BLOCK))
+        taken = itertools.chain.from_iterable(map(draws, block))
+        taken = np.fromiter(taken, dtype=np.int64, count=len(block) * steps)
+        distances += lookup.walk(moves, taken.reshape(len(block), steps))
     return WalkStats(
         steps=steps,
         trials=trials,
         seed=seed,
         censor_radius=complete,
-        distances=[run_trial(i) for i in range(trials)],
+        distances=distances,
         requested_radius=radius,
         ball_truncated=truncated,
     )

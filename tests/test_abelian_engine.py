@@ -1,7 +1,8 @@
 """Differential tests: the numpy abelian engine against the per-element loops.
 
-`ball` runs Z^d and Z_p^d tuples on int64 coordinate layers; the oracle
-is the generic BFS over element objects (`prp._ball_generic`).
+`ball` runs Z^d and Z_p^d tuples on the array frontier over int64
+coordinate rows; the oracle is the generic BFS over element objects
+(`prp._ball_generic`).
 `components_finite` labels Z_p^d tuples by index arithmetic; the oracle
 is the union-find census over `apply_move` kept below.
 """
@@ -102,17 +103,17 @@ def test_mod_vector_ball_matches_generic(case, radius, budget):
 def test_numpy_path_taken_for_abelian_backends():
     z2 = FreeAbelianBackend(2)
     start = (z2.element((1, 0)), z2.element((0, 1)))
-    assert prp._ball_numpy(0, 2, start, 4, 10_000) is not None
+    assert prp._ball_array(z2, start, 4, 10_000) is not None
     z5 = ModVectorBackend(5, 2)
     start = (z5.element((1, 0)), z5.element((0, 1)))
-    assert prp._ball_numpy(5, 2, start, 4, 10_000) is not None
+    assert prp._ball_array(z5, start, 4, 10_000) is not None
 
 
 @pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**62 + 1, 2**70, -(2**70)])
 def test_overflow_guard_hands_over_at_the_start(big):
     z1 = FreeAbelianBackend(1)
     start = (z1.element((big,)), z1.element((1,)))
-    assert prp._ball_numpy(0, 1, start, 3, 10_000) is None
+    assert prp._ball_array(z1, start, 3, 10_000) is None
     assert_same_ball(z1, start, 3, 10_000)
     z2 = FreeAbelianBackend(2)
     start = (z2.element((big, 0)), z2.element((0, 1)), z2.element((1, 1)))
@@ -124,8 +125,8 @@ def test_overflow_guard_hands_over_mid_run():
     # coordinates then double, and layer 2's keys would not fit.
     z1 = FreeAbelianBackend(1)
     start = (z1.element((2**29,)), z1.element((1,)))
-    assert prp._ball_numpy(0, 1, start, 1, 10_000) is not None
-    assert prp._ball_numpy(0, 1, start, 3, 10_000) is None
+    assert prp._ball_array(z1, start, 1, 10_000) is not None
+    assert prp._ball_array(z1, start, 3, 10_000) is None
     assert_same_ball(z1, start, 1, 10_000)
     assert_same_ball(z1, start, 3, 10_000)
 

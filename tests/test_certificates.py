@@ -89,6 +89,26 @@ class TestVerify:
         assert not result.ok
         assert any("exceeds" in f for f in result.failures)
 
+    @pytest.mark.parametrize("alpha", [0, 7, 9, 99])
+    def test_tamper_alpha_is_rejected(self, alpha):
+        # alpha is derived from the spelled witness, never taken on trust
+        cert = build_certificate(CLASSICAL_OMEGA, 3)
+        assert cert.alpha == 8
+        cert.alpha = alpha
+        result = verify_certificate(cert)
+        assert not result.ok
+        assert any(f.startswith(f"alpha {alpha} is not ceil(") for f in result.failures)
+
+    def test_empty_checkpoints_are_invalid(self):
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 3))
+        text = "\n".join(
+            "checkpoints:" if ln.startswith("checkpoints:") else ln for ln in text.splitlines()
+        )
+        cert = parse_certificate(text)
+        assert cert.checkpoints == []
+        result = verify_certificate(cert)
+        assert not result.ok and result.failures
+
     def test_tamper_wrong_witness_word(self):
         cert = build_certificate(CLASSICAL_OMEGA, 2)
         cert.witness = "ad"  # nontrivial but not in the rigid stabilizer

@@ -90,6 +90,24 @@ def test_cert_verify_rejects_tampered(capsys, tmp_path):
     assert "status=INVALID" in out and "failure=" in out
 
 
+@pytest.mark.parametrize(
+    "field, value, failure",
+    [("alpha", "99", "failure=alpha 99 is not ceil(64/2^3) = 8"),
+     ("checkpoints", "", "failure=checkpoint count does not match conjugate count")],
+)
+def test_cert_verify_rejects_tampered_alpha_and_checkpoints(capsys, tmp_path, field, value, failure):
+    # The reported bound is the certificate's claim; only a VALID status certifies it.
+    path = tmp_path / "cert.txt"
+    run_cli(capsys, "cert", "build", "--m", "3", "--out", str(path))
+    lines = [f"{field}: {value}" if ln.startswith(f"{field}:") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "cert", "verify", str(path))
+    assert code == 2 and err == ""
+    assert "status=INVALID" in out
+    assert failure in out.splitlines()
+
+
 @pytest.mark.parametrize("label", ["x+", "+"])
 def test_cert_verify_malformed_step_label_is_usage_error(capsys, tmp_path, label):
     path = tmp_path / "cert.txt"
