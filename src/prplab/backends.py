@@ -16,10 +16,10 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 from .omega import OmegaSequence
-from .words import Portraits, TreeWord, identity as word_identity, word
+from .words import Portraits, TreeWord, identity as word_identity
 
 
 class BackendError(ValueError):
@@ -75,12 +75,13 @@ class GroupBackend(ABC):
     def canonical_key(self, x) -> Hashable:
         ...
 
+    @abstractmethod
     def is_generating(self, entries: Sequence) -> bool | None:
         """True/False where decidable, None where not."""
-        return None
 
+    @abstractmethod
     def describe(self) -> str:
-        return type(self).__name__
+        ...
 
 
 class FreeAbelianBackend(GroupBackend):
@@ -167,10 +168,6 @@ class ModVectorBackend(GroupBackend):
 
     def is_generating(self, entries: Sequence[ModVectorElement]) -> bool:
         return is_generating_modvector(list(entries))
-
-    def elements(self) -> Iterator[ModVectorElement]:
-        for coords in itertools.product(range(self.p), repeat=self.d):
-            yield ModVectorElement(self.p, coords)
 
     def size(self) -> int:
         return self.p ** self.d
@@ -267,9 +264,6 @@ class TreeBackend(GroupBackend):
     @property
     def identity(self) -> TreeWord:
         return self._identity
-
-    def element(self, raw: str) -> TreeWord:
-        return word(self.omega, raw, offset=0)
 
     def multiply(self, x: TreeWord, y: TreeWord) -> TreeWord:
         return x * y

@@ -24,9 +24,9 @@ from .backends import TreeBackend
 from .cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce, check_cubic_by_support
 from .omega import OmegaSequence
 from .prp import NielsenMove, apply_move
-from .schreier import Label, schreier, spanning_walk
+from .schreier import Label, _labels_to_word, schreier, spanning_walk
 from .witnesses import witness_for
-from .words import TreeWord, identity, word
+from .words import identity, word
 
 FORMAT_HEADER = "prplab-certificate v1"
 
@@ -61,9 +61,6 @@ class VerificationResult:
     path_length: int = 0
     bound: int = 0
     k: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _spell_moves(letters: str, base: tuple[str, ...], slot: int) -> list[NielsenMove]:
@@ -143,24 +140,22 @@ def build_certificate(
     )
 
 
-def verify_certificate(
-    cert: CubicCertificate, max_level: int = 14, brute_cap: int = BRUTE_FORCE_CAP
-) -> VerificationResult:
+def verify_certificate(cert: CubicCertificate, max_level: int = 14) -> VerificationResult:
     """Independent replay of every claim a certificate makes.
 
     Cubicity is settled by brute-force product enumeration for
-    k <= brute_cap and by the disjoint-support criterion above it.
+    k <= BRUTE_FORCE_CAP and by the disjoint-support criterion above it.
+    A level outside 0..max_level is refused before anything of size 2^level
+    is computed, and reports bound 0.
     """
     failures: list[str] = []
     omega = cert.omega
     m = cert.level
-    bound = (cert.alpha + 4) * (2 ** m)
-    result = VerificationResult(
-        ok=False, failures=failures, path_length=cert.path_length, bound=bound, k=cert.k
-    )
-    if m > max_level:
-        failures.append(f"level {m} above configured maximum {max_level}")
+    result = VerificationResult(ok=False, failures=failures, path_length=cert.path_length, k=cert.k)
+    if not 0 <= m <= max_level:
+        failures.append(f"level {m} outside the configured range 0..{max_level}")
         return result
+    bound = result.bound = (cert.alpha + 4) * (2 ** m)
 
     try:
         gens = tuple(word(omega, w) for w in cert.base)
@@ -191,22 +186,14 @@ def verify_certificate(
         return result
 
     # Recompute walk elements and conjugates from the recorded labels.
-    def label_word(labels: list[Label]) -> TreeWord:
-        w = identity(omega)
-        for gi, sign in labels:
+    for labels in cert.step_labels:
+        for gi, _ in labels:
             if not 1 <= gi <= len(gens):
-                raise CertificateError(f"step label references generator {gi}")
-            step = gens[gi - 1]
-            w = (step if sign > 0 else step.inverse()) * w
-        return w
-
-    try:
-        h_words = [identity(omega)]
-        for labels in cert.step_labels:
-            h_words.append(label_word(labels) * h_words[-1])
-    except CertificateError as exc:
-        failures.append(str(exc))
-        return result
+                failures.append(f"step label references generator {gi}")
+                return result
+    h_words = [identity(omega)]
+    for labels in cert.step_labels:
+        h_words.append(_labels_to_word(gens, labels, omega) * h_words[-1])
 
     for h, s in zip(h_words, cert.visits):
         if h.act(cert.start) != s:
@@ -221,7 +208,7 @@ def verify_certificate(
     if not support.ok:
         failures.extend(support.problems)
 
-    if cert.k <= min(brute_cap, BRUTE_FORCE_CAP):
+    if cert.k <= BRUTE_FORCE_CAP:
         cubic = check_cubic_bruteforce(conjugates, fingerprint_level=max(7, m + 4))
     else:
         cubic = bool(support)

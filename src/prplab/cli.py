@@ -250,7 +250,7 @@ def _cmd_cert(args) -> int:
     # verify
     text = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
     cert = parse_certificate(text)
-    result = verify_certificate(cert, max_level=args.max_level, brute_cap=args.brute_cap)
+    result = verify_certificate(cert, max_level=args.max_level)
     _emit(_header(args, f"family({cert.omega.describe()})"))
     print(f"status={'VALID' if result.ok else 'INVALID'}")
     print(f"level={cert.level}")
@@ -351,12 +351,6 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group name (builtin alias or declaration in --grp)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-level", dest="max_level", type=int, default=14)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="prplab", description=__doc__)
     top.add_argument("--version", action="version", version=f"prplab {__version__}")
@@ -373,41 +367,37 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "order":
             q.add_argument("--cap", type=int, default=20)
         _add_family_options(q)
-        _add_common(q)
         q.set_defaults(func=_cmd_element)
 
     p_w = sub.add_parser("witness", help="rigid-stabilizer witness reports")
     w_sub = p_w.add_subparsers(dest="witness_cmd", required=True)
     q = w_sub.add_parser("classical")
     q.add_argument("--m", type=int, required=True)
-    _add_common(q)
     q.set_defaults(func=_cmd_witness)
     q = w_sub.add_parser("general")
     q.add_argument("--n", type=int, required=True)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_witness)
     q = w_sub.add_parser("sweep")
     q.add_argument("--cycles", required=True, help="comma-separated cycle strings")
     q.add_argument("--prefix", default="")
     q.add_argument("--n-max", dest="n_max", type=int, default=5)
-    _add_common(q)
     q.set_defaults(func=_cmd_witness)
 
     q = sub.add_parser("schreier", help="level action graph")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--dot", action="store_true")
+    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_schreier)
 
     q = sub.add_parser("walk", help="spanning walk of a level graph")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--start-vertex", dest="start_vertex")
+    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_walk)
 
     p_c = sub.add_parser("cert", help="growth certificates")
@@ -416,14 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--base", default="a;b;c;d", help="base tuple words separated by ';'")
     q.add_argument("--out")
+    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_cert)
     q = c_sub.add_parser("verify")
     q.add_argument("file", nargs="?", help="certificate file (default stdin)")
-    q.add_argument("--brute-cap", dest="brute_cap", type=int, default=16,
-                   help="largest k settled by full product enumeration")
-    _add_common(q)
+    q.add_argument("--max-level", type=int, default=14)
     q.set_defaults(func=_cmd_cert)
 
     p_p = sub.add_parser("prp", help="product replacement graph exploration")
@@ -442,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=2)
     q.add_argument("--k", type=int, default=3)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_prp_ball)
     q = pp_sub.add_parser("components")
     q.add_argument("--group", required=True, choices=["zpn", "z2k"])
@@ -451,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, default=3)
     q.add_argument("--size", type=int, help="tuple size (default: the dimension)")
     q.add_argument("--max-tuples", dest="max_tuples", type=int, default=10_000_000)
-    _add_common(q)
     q.set_defaults(func=_cmd_prp_components)
 
     q = sub.add_parser("rw-speed", help="seeded random walk distance statistics")
@@ -465,22 +451,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, default=3)
     q.add_argument("--n", type=int, default=2)
     q.add_argument("--k", type=int, default=3)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--threads", type=int, default=1)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_rw_speed)
 
     p_parse = sub.add_parser("parse", help=".grp file checks")
     pc_sub = p_parse.add_subparsers(dest="parse_cmd", required=True)
     q = pc_sub.add_parser("check")
     q.add_argument("file")
-    _add_common(q)
     q.set_defaults(func=_cmd_parse_check)
 
     q = sub.add_parser("ad-order", help="dihedral order check for a d_k")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     _add_family_options(q)
-    _add_common(q)
     q.set_defaults(func=_cmd_ad_order)
 
     return top

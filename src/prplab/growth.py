@@ -24,13 +24,6 @@ class GrowthReport:
     beta: float
     rate: float  # min over the subsequence of |B(r)|^(1/r)
 
-    def csv_rows(self) -> list[str]:
-        out = ["radius,ball_size,root"]
-        for r in self.subsequence:
-            c = self.table.count_at(r)
-            out.append(f"{r},{c},{c ** (1.0 / r):.6f}")
-        return out
-
 
 def is_log_dense(radii: list[int], beta: float) -> bool:
     if not radii or radii[0] < 1:

@@ -1,4 +1,4 @@
-"""Parser, validator and pretty-printer for .grp group definition files.
+"""Parser and validator for .grp group definition files.
 
 Grammar (whitespace-insensitive, '#' comments to end of line, keywords
 case-sensitive):
@@ -12,14 +12,15 @@ case-sensitive):
 Quoted strings hold sequence letters and must stay inside {b,c,d}; the
 cycle string must be nonempty. Names are alphanumeric and unique across
 the file. Family groups lower to a defining sequence with the standard
-four generators; explicit groups lower to a wreath-recursion definition.
+four generators. Explicit groups are parsed and validated, and lower to
+their generator declarations; no command computes in them (the tests'
+wreath-recursion oracle does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mealy import MealyDef, MealyGenerator, SWAP
 from .omega import BCD, OmegaSequence
 
 KEYWORDS = {"omega", "group", "gen", "grigorchuk", "swap", "id"}
@@ -133,12 +134,6 @@ class GroupSpecFile:
         for decl in self.omegas:
             if decl.name == name:
                 return decl.omega
-        raise KeyError(name)
-
-    def group_named(self, name: str) -> GroupDecl:
-        for decl in self.groups:
-            if decl.name == name:
-                return decl
         raise KeyError(name)
 
 
@@ -289,24 +284,6 @@ def _ref(parser: _Parser) -> tuple[str, Token]:
     return tok.text, tok
 
 
-def pretty_print(spec: GroupSpecFile) -> str:
-    lines: list[str] = []
-    for decl in spec.omegas:
-        lines.append(f'omega {decl.name} = "{decl.omega.prefix}"("{decl.omega.cycle}")*')
-    for group in spec.groups:
-        if group.family_omega is not None:
-            lines.append(f"group {group.name} = grigorchuk({group.family_omega})")
-        else:
-            lines.append(f"group {group.name} {{")
-            for g in group.gens:
-                if g.kind == "swap":
-                    lines.append(f"  gen {g.name} = swap")
-                else:
-                    lines.append(f"  gen {g.name} = ({g.left}, {g.right})")
-            lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class LoweredFamily:
     omega: OmegaSequence
@@ -314,23 +291,16 @@ class LoweredFamily:
 
 @dataclass(frozen=True)
 class LoweredExplicit:
-    mealy: MealyDef
+    gens: tuple[GenDecl, ...]
 
 
 def validate_and_lower(spec: GroupSpecFile) -> dict[str, LoweredFamily | LoweredExplicit]:
-    """Resolve every group declaration to an executable backend description."""
+    """Resolve every group declaration: a family group to its sequence, an
+    explicit group to its generator declarations."""
     out: dict[str, LoweredFamily | LoweredExplicit] = {}
     for group in spec.groups:
         if group.family_omega is not None:
             out[group.name] = LoweredFamily(spec.omega_named(group.family_omega))
         else:
-            gens: dict[str, MealyGenerator] = {}
-            for g in group.gens:
-                if g.kind == "swap":
-                    gens[g.name] = SWAP
-                else:
-                    left = None if g.left == "id" else g.left
-                    right = None if g.right == "id" else g.right
-                    gens[g.name] = MealyGenerator(left=left, right=right)
-            out[group.name] = LoweredExplicit(MealyDef.from_dict(gens))
+            out[group.name] = LoweredExplicit(group.gens)
     return out

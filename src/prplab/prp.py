@@ -1,4 +1,4 @@
-"""Nielsen moves, product replacement neighborhoods, balls and censuses.
+"""Nielsen moves, product replacement balls and censuses.
 
 Vertices are generating n-tuples; the moves R(i,j,s): g_j <- g_j * g_i^s
 and L(i,j,s): g_j <- g_i^s * g_j give a 4n(n-1)-regular symmetric
@@ -14,7 +14,7 @@ the tests' oracle. Censuses over Z_p^d run on int64 index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class NielsenMove:
             raise PrpError("move indices must be distinct")
         if self.i < 1 or self.j < 1:
             raise PrpError("move indices are 1-based")
-
-    def inverse(self) -> "NielsenMove":
-        return NielsenMove(self.kind, -self.sign, self.i, self.j)
 
     def __str__(self) -> str:
         s = "+" if self.sign > 0 else "-"
@@ -94,45 +91,6 @@ def apply_move(backend: GroupBackend, entries: tuple, move: NielsenMove) -> tupl
     gj = entries[move.j - 1]
     new = backend.multiply(gj, gi) if move.kind == "R" else backend.multiply(gi, gj)
     return entries[: move.j - 1] + (new,) + entries[move.j :]
-
-
-def apply_moves(backend: GroupBackend, entries: tuple, moves: Sequence[NielsenMove]) -> tuple:
-    for move in moves:
-        entries = apply_move(backend, entries, move)
-    return entries
-
-
-def swap_invert_path(i: int, j: int) -> list[NielsenMove]:
-    """Three moves sending (..., g_i, ..., g_j, ...) to (..., g_j^-1, ..., g_i, ...)."""
-    if i == j:
-        raise PrpError("indices must be distinct")
-    return [
-        NielsenMove("L", 1, i, j),
-        NielsenMove("L", -1, j, i),
-        NielsenMove("R", 1, i, j),
-    ]
-
-
-def neighbors(backend: GroupBackend, entries: tuple) -> list[tuple]:
-    """All 4n(n-1) neighbor tuples, with multiplicity."""
-    return [apply_move(backend, entries, m) for m in moves_for(len(entries))]
-
-
-def neighbors_dedup(backend: GroupBackend, entries: tuple) -> list[tuple]:
-    """Neighbor tuples with duplicates removed (loops kept once)."""
-    seen = VisitedSet(backend)
-    out = []
-    for t in neighbors(backend, entries):
-        if seen.add(t):
-            out.append(t)
-    return out
-
-
-def append_trivial(backend: GroupBackend, entries: tuple, m: int) -> tuple:
-    """Pad a tuple with m identity entries."""
-    if m < 0:
-        raise PrpError("m must be nonnegative")
-    return entries + (backend.identity,) * m
 
 
 def tuple_key(backend: GroupBackend, entries: tuple) -> Hashable:
@@ -224,6 +182,8 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
     layers; when the tuples outgrow its int64 keys, the generic loop
     (`bfs_layers`) redoes the whole ball.
     """
+    if radius < 0 or budget < 1:
+        raise PrpError(f"need radius >= 0 and budget >= 1, got radius {radius} and budget {budget}")
     table = _ball_array(backend, start, radius, budget)
     return table if table is not None else _ball_generic(backend, start, radius, budget)
 
@@ -620,6 +580,8 @@ def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: 
     Every move from each vertex of layers 0..radius-1 is one edge, listed
     once per unordered pair of vertex names; names follow first mention.
     """
+    if radius < 0:
+        raise PrpError(f"need radius >= 0, got radius {radius}")
     layers = list(bfs_layers(backend, start, radius, budget=max_vertices + 1))
     truncated = len(layers) <= radius and layers[-1]
     if truncated or sum(map(len, layers)) > max_vertices:

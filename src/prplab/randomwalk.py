@@ -102,9 +102,6 @@ class _ArrayDistances:
     def __init__(self, rows, layers: list):
         self.rows, self.layers = rows, layers
 
-    def __call__(self, entries: tuple) -> int | None:
-        return self._distances(self.rows.encode(entries, dtype=object)[None])[0]
-
     def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
         """Distances of the walks that take moves[draws[t, s]] at step s."""
         ends = np.repeat(self.rows.walk_start(draws.shape[1]), len(draws), axis=0)
@@ -147,12 +144,12 @@ class _ObjectDistances:
 def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int):
     """BFS distances out to radius; returns (lookup, complete_radius, truncated).
 
-    lookup(entries) is a tuple's distance or None, and lookup.walk(moves,
-    draws) walks and looks up in one go. The map runs on the array
-    frontier (prp._frontier); when the tuples outgrow its int64 keys,
-    bfs_layers and per-object walks take over. A layer is kept iff the
-    ball including it has at most `budget` vertices, the rule `prp.ball`
-    follows.
+    lookup.walk(moves, draws) walks and looks up the endpoints' distances
+    in one go, None for an endpoint outside the map. The map runs on the
+    array frontier (prp._frontier); when the tuples outgrow its int64
+    keys, bfs_layers and per-object walks take over. A layer is kept iff
+    the ball including it has at most `budget` vertices, the rule
+    `prp.ball` follows.
     """
     try:
         rows = _rows_for(backend, start)
@@ -177,6 +174,8 @@ def rw_speed(
     """Censored distance statistics of seeded uniform-move walks."""
     if steps < 0 or trials < 0 or radius < 0:
         raise ValueError("steps, trials and radius must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     moves = moves_for(len(start))
     if not moves:
         raise ValueError("tuples of size < 2 admit no moves")

@@ -1,4 +1,4 @@
-"""Level Schreier graphs of tree groups, spanning walks, conjugate families.
+"""Level Schreier graphs of tree groups and their spanning walks.
 
 The Schreier graph at level m has all 2^m binary strings as vertices and
 labeled edges s -> g_i(s), s -> g_i^-1(s) for each entry of a generating
@@ -188,13 +188,3 @@ def _labels_to_word(gens, labels: list[Label], omega) -> TreeWord:
         w = (g if sign > 0 else g.inverse()) * w
     return w
 
-
-def conjugate_family(g: TreeWord, walk: SpanningWalk) -> list[TreeWord]:
-    """Conjugates h_i g h_i^-1, one per visited vertex.
-
-    Requires g to lie in the rigid stabilizer of the walk's start; each
-    conjugate then lies in the rigid stabilizer of the matching visit.
-    """
-    if not g.in_rist(walk.start):
-        raise SchreierError(f"witness is not in the rigid stabilizer of {walk.start!r}")
-    return [g.conjugate_by(h) for h in walk.h_words]

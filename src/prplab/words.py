@@ -118,22 +118,6 @@ class TreeWord:
     def conjugate_by(self, h: "TreeWord") -> "TreeWord":
         return h * self * h.inverse()
 
-    def pow(self, e: int) -> "TreeWord":
-        if e < 0:
-            return self.inverse().pow(-e)
-        acc = identity(self.omega, self.offset)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base_needed = e > 1
-            if base_needed:
-                if 2 * len(base.letters) > MAX_WORD_LETTERS:
-                    raise WordError("word length guard exceeded while powering")
-                base = base * base
-            e >>= 1
-        return acc
-
     # -- tree structure ---------------------------------------------------
 
     def sections(self) -> "SectionPair":

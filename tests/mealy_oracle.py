@@ -1,4 +1,5 @@
-"""Depth-limited engine for generic wreath-recursion definitions.
+"""Depth-limited engine for generic wreath-recursion definitions: the tests'
+independent oracle for the recursion that words.py computes by letters.
 
 A definition names finitely many generators, each of which is either the
 first-bit swap or a pair of references (left child, right child) to other
@@ -6,7 +7,9 @@ generators or the identity, optionally composed with a top swap. Unlike
 the family groups handled by words.py, nothing here guarantees
 contraction, so the identity test only claims a verdict up to a depth --
 unless the section-state graph closes on itself, in which case triviality
-is exact.
+is exact. Explicit groups of a .grp file lower to their generator
+declarations (grpfile.GenDecl); mealy_from_decls turns those into a
+definition.
 """
 
 from __future__ import annotations
@@ -52,11 +55,18 @@ class MealyDef:
     def by_name(self) -> dict[str, MealyGenerator]:
         return dict(self.generators)
 
-    def resolve(self, name: str) -> MealyGenerator:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise MealyError(f"unknown generator {name!r}") from None
+
+def mealy_from_decls(decls) -> MealyDef:
+    """The definition of an explicit group's lowered GenDecl tuple."""
+    gens: dict[str, MealyGenerator] = {}
+    for g in decls:
+        if g.kind == "swap":
+            gens[g.name] = SWAP
+        else:
+            left = None if g.left == "id" else g.left
+            right = None if g.right == "id" else g.right
+            gens[g.name] = MealyGenerator(left=left, right=right)
+    return MealyDef.from_dict(gens)
 
 
 Word = tuple[str, ...]

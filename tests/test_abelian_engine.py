@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mod_elements
 from prplab import prp
 from prplab.backends import FreeAbelianBackend, ModVectorBackend
 from prplab.prp import apply_move, ball, components_finite, moves_for, tuple_key
@@ -38,7 +39,7 @@ class UnionFind:
 
 def census_oracle(backend, n: int) -> tuple[int, list[int]]:
     """Vertex count and descending component sizes, one move at a time."""
-    elements = list(backend.elements())
+    elements = mod_elements(backend)
     vertices = [t for t in itertools.product(elements, repeat=n) if backend.is_generating(t)]
     index = {tuple_key(backend, t): i for i, t in enumerate(vertices)}
     uf = UnionFind(len(vertices))

@@ -7,15 +7,15 @@ lines and timings. Stated runtime budgets are asserted.
 import random
 import time
 
-from conftest import random_nonconstant_cycle, random_omega
+from conftest import conjugate_family, random_nonconstant_cycle, random_omega
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.certificates import build_certificate, verify_certificate
 from prplab.cubes import check_cubic_bruteforce, check_cubic_by_support
 from prplab.growth import growth_report
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import append_trivial, ball, components_finite
+from prplab.prp import ball, components_finite
 from prplab.randomwalk import rw_speed
-from prplab.schreier import conjugate_family, schreier, spanning_walk
+from prplab.schreier import schreier, spanning_walk
 from prplab.witnesses import (
     NoWitnessError,
     check_ad_order,
@@ -236,7 +236,7 @@ def test_criterion_10_coprime_pair_growth():
 def test_criterion_11_walk_reproducibility():
     started = time.monotonic()
     backend = TreeBackend(CLASSICAL_OMEGA)
-    start = append_trivial(backend, classical_gens(), 1)
+    start = classical_gens() + (backend.identity,)
     blobs = set()
     for _ in range(6):
         stats = rw_speed(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import mod_elements
 from prplab.backends import (
     BackendError,
     FreeAbelianBackend,
@@ -46,7 +47,7 @@ def test_free_abelian_contract():
 def test_mod_vector_contract():
     rng = random.Random(2)
     backend = ModVectorBackend(5, 2)
-    elements = list(backend.elements())
+    elements = mod_elements(backend)
     _backend_contract(backend, elements, rng)
 
 
@@ -125,7 +126,7 @@ class TestModVectorGeneration:
     def test_gl2_f3_enumeration(self):
         # brute-force count of ordered bases of (Z_3)^2: (9-1)(9-3) = 48
         b = ModVectorBackend(3, 2)
-        elements = list(b.elements())
+        elements = mod_elements(b)
         bases = [
             (u, v)
             for u, v in itertools.product(elements, repeat=2)
@@ -139,7 +140,7 @@ class TestModVectorGeneration:
         backend = ModVectorBackend(p, n)
         count = sum(
             1
-            for t in itertools.product(backend.elements(), repeat=n)
+            for t in itertools.product(mod_elements(backend), repeat=n)
             if backend.is_generating(t)
         )
         expected = 1

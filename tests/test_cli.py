@@ -1,6 +1,16 @@
-import pytest
+import contextlib
+import functools
+import io
+import re
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prplab.certificates import build_certificate, serialize_certificate
 from prplab.cli import main
+from prplab.omega import CLASSICAL_OMEGA
 
 
 def run_cli(capsys, *argv):
@@ -93,10 +103,13 @@ def test_cert_verify_rejects_tampered(capsys, tmp_path):
 @pytest.mark.parametrize(
     "field, value, failure",
     [("alpha", "99", "failure=alpha 99 is not ceil(64/2^3) = 8"),
-     ("checkpoints", "", "failure=checkpoint count does not match conjugate count")],
+     ("checkpoints", "", "failure=checkpoint count does not match conjugate count"),
+     ("level", "100000000", "failure=level 100000000 outside the configured range 0..14"),
+     ("level", "-1", "failure=level -1 outside the configured range 0..14")],
 )
 def test_cert_verify_rejects_tampered_alpha_and_checkpoints(capsys, tmp_path, field, value, failure):
     # The reported bound is the certificate's claim; only a VALID status certifies it.
+    # A level out of range is refused before 2^level is computed, with bound 0.
     path = tmp_path / "cert.txt"
     run_cli(capsys, "cert", "build", "--m", "3", "--out", str(path))
     lines = [f"{field}: {value}" if ln.startswith(f"{field}:") else ln
@@ -106,6 +119,62 @@ def test_cert_verify_rejects_tampered_alpha_and_checkpoints(capsys, tmp_path, fi
     assert code == 2 and err == ""
     assert "status=INVALID" in out
     assert failure in out.splitlines()
+    assert re.search(r"^bound=\d+$", out, flags=re.MULTILINE)
+    if field == "level":
+        assert "bound=0" in out.splitlines()
+
+
+@functools.cache
+def _m2_certificate() -> str:
+    return serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))
+
+
+def _replace_field(text: str, field: str, value: str, index: int) -> str:
+    """The certificate with the value of its index-th `field:` line replaced."""
+    lines = text.splitlines()
+    at = [i for i, ln in enumerate(lines) if ln.startswith(f"{field}:")]
+    lines[at[index % len(at)]] = f"{field}: {value}"
+    return "\n".join(lines) + "\n"
+
+
+_ints = st.integers(min_value=-3, max_value=40).map(str)
+_moves = st.builds(
+    "{}{}{},{}".format, st.sampled_from("RLQ"), st.sampled_from("+-"), _ints, _ints
+) | st.sampled_from(["R+1", "", "x"])
+_mutations = st.one_of(
+    st.tuples(st.just("moves"), st.lists(_moves, max_size=40).map(" ".join)),
+    st.tuples(st.just("checkpoints"), st.lists(_ints | st.just("x"), max_size=6).map(" ".join)),
+    st.tuples(st.just("visits"), st.lists(st.text("01-x", max_size=3), max_size=6).map(" ".join)),
+    st.tuples(st.just("step"), st.lists(
+        st.builds("{}{}".format, _ints, st.sampled_from("+-")), max_size=4).map(" ".join)),
+    st.tuples(st.just("witness"), st.text("abcdx", max_size=40)),
+    st.tuples(st.just("level"), st.sampled_from(["100000000", "-1", "-7", "0", "3", "15", "x"])),
+    st.tuples(st.just("k"), (st.integers(-2, 40) | st.just(2**40)).map(str)),
+    st.tuples(st.just("alpha"), (st.integers(-5, 40) | st.just(10**9)).map(str)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mutations, st.integers(min_value=0, max_value=2))
+def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
+    # Every single-field mutation of a valid certificate is a parse error
+    # (exit 1, before any output), INVALID (exit 2) or still VALID; nothing
+    # escapes as a crash or fails halfway through the report.
+    field, value = mutation
+    text = _replace_field(_m2_certificate(), field, value, index)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cert", "verify"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("status=VALID" in out.getvalue())
+    assert (code == 1) == err.getvalue().startswith("error: ")
+    assert code != 1 or out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("label", ["x+", "+"])
@@ -139,15 +208,17 @@ def test_prp_ball_with_rate(capsys):
 
 
 def test_prp_ball_header_carries_budget_and_seed(capsys):
-    code, out, _ = run_cli(
-        capsys, "prp", "ball", "--group", "zd", "--d", "1", "--start", "1;1",
-        "--radius", "3", "--seed", "9", "--budget", "1000",
-    )
+    argv = ["prp", "ball", "--group", "zd", "--d", "1", "--start", "1;1", "--radius", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--budget", "1000")
     assert code == 0
     head = out.splitlines()[:3]
     assert head[0].startswith("# prplab=")
-    assert any("seed=9" in ln for ln in head)
+    assert any("seed=0" in ln for ln in head)
     assert any("budget=1000" in ln for ln in head)
+    # only rw-speed takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "9"])
+    assert exc.value.code == 1
 
 
 def test_rw_speed_deterministic_across_threads(capsys):

@@ -1,8 +1,10 @@
 import pytest
 
+from conftest import conjugate_family
+
 from prplab.cubes import CubeError, check_cubic_bruteforce, check_cubic_by_support
 from prplab.omega import CLASSICAL_OMEGA
-from prplab.schreier import conjugate_family, schreier, spanning_walk
+from prplab.schreier import schreier, spanning_walk
 from prplab.witnesses import witness_for
 from prplab.words import identity, word
 

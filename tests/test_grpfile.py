@@ -1,14 +1,15 @@
 import pytest
 
+from mealy_oracle import mealy_act, mealy_from_decls
 from prplab.grpfile import (
+    GroupDecl,
+    GroupSpecFile,
     GrpParseError,
     LoweredExplicit,
     LoweredFamily,
     parse,
-    pretty_print,
     validate_and_lower,
 )
-from prplab.mealy import mealy_act
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.words import level_strings, word
 
@@ -25,15 +26,38 @@ group H {
 """
 
 
+def group_named(spec: GroupSpecFile, name: str) -> GroupDecl:
+    return next(decl for decl in spec.groups if decl.name == name)
+
+
+def pretty_print(spec: GroupSpecFile) -> str:
+    """The .grp text of a parsed file, for round trips through the parser."""
+    lines: list[str] = []
+    for decl in spec.omegas:
+        lines.append(f'omega {decl.name} = "{decl.omega.prefix}"("{decl.omega.cycle}")*')
+    for group in spec.groups:
+        if group.family_omega is not None:
+            lines.append(f"group {group.name} = grigorchuk({group.family_omega})")
+        else:
+            lines.append(f"group {group.name} {{")
+            for g in group.gens:
+                if g.kind == "swap":
+                    lines.append(f"  gen {g.name} = swap")
+                else:
+                    lines.append(f"  gen {g.name} = ({g.left}, {g.right})")
+            lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 class TestParse:
     def test_family_declaration(self):
         spec = parse('omega w = ""("dcb")*\ngroup G = grigorchuk(w)')
         assert spec.omega_named("w") == CLASSICAL_OMEGA
-        assert spec.group_named("G").family_omega == "w"
+        assert group_named(spec, "G").family_omega == "w"
 
     def test_explicit_declaration(self):
         spec = parse(CLASSICAL_BOTH_WAYS)
-        gens = {g.name: g for g in spec.group_named("H").gens}
+        gens = {g.name: g for g in group_named(spec, "H").gens}
         assert gens["a"].kind == "swap"
         assert (gens["d"].left, gens["d"].right) == ("id", "b")
 
@@ -118,7 +142,7 @@ class TestLowering:
     def test_family_and_explicit_agree_on_level_12(self):
         lowered = validate_and_lower(parse(CLASSICAL_BOTH_WAYS))
         omega = lowered["G"].omega
-        mealy = lowered["H"].mealy
+        mealy = mealy_from_decls(lowered["H"].gens)
         strings = level_strings(12)
         for name in "abcd":
             g = word(omega, name)

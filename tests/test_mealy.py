@@ -1,6 +1,6 @@
 import pytest
 
-from prplab.mealy import (
+from mealy_oracle import (
     MealyDef,
     MealyError,
     MealyGenerator,

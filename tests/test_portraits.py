@@ -39,8 +39,10 @@ def trivial_power(r: TreeWord) -> TreeWord:
     trivial since (a x)^2 = (x', x'). So u and u * trivial_power(r) are
     one element written with different letters."""
     order = r.order(cap_exponent=4)
-    power = r.pow(order) if order else None
-    if power is None or not power.letters:
+    power = r
+    for _ in range((order or 1).bit_length() - 1):
+        power = power * power
+    if order is None or not power.letters:
         power = word(r.omega, ("a" + r.omega.letter_at(r.offset)) * 4, r.offset)
     return power
 

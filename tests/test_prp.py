@@ -8,20 +8,35 @@ from prplab.prp import (
     BallTable,
     NielsenMove,
     PrpError,
-    append_trivial,
     apply_move,
-    apply_moves,
     _ball_generic,
     ball,
     ball_to_dot,
     components_finite,
     moves_for,
-    neighbors,
-    neighbors_dedup,
-    swap_invert_path,
     tuple_key,
 )
 from prplab.words import word
+
+
+def neighbors(backend, entries):
+    """All 4n(n-1) neighbour tuples, with multiplicity."""
+    return [apply_move(backend, entries, m) for m in moves_for(len(entries))]
+
+
+def apply_moves(backend, entries, moves):
+    for move in moves:
+        entries = apply_move(backend, entries, move)
+    return entries
+
+
+def inverse(move):
+    return NielsenMove(move.kind, -move.sign, move.i, move.j)
+
+
+def swap_invert_path(i, j):
+    """Three moves sending (..., g_i, ..., g_j, ...) to (..., g_j^-1, ..., g_i, ...)."""
+    return [NielsenMove("L", 1, i, j), NielsenMove("L", -1, j, i), NielsenMove("R", 1, i, j)]
 
 
 @pytest.fixture
@@ -66,7 +81,7 @@ class TestMoves:
     def test_inverse_move_round_trip(self, z2):
         S = (z2.element((3, 1)), z2.element((2, 5)))
         for mv in moves_for(2):
-            back = apply_move(z2, apply_move(z2, S, mv), mv.inverse())
+            back = apply_move(z2, apply_move(z2, S, mv), inverse(mv))
             assert back == S
 
     def test_only_entry_j_changes(self, z2):
@@ -114,7 +129,8 @@ class TestNeighbors:
 
     def test_dedup_from_one_zero(self, z1):
         S = (z1.element((1,)), z1.element((0,)))
-        got = sorted(tuple(e.coords[0] for e in t) for t in neighbors_dedup(z1, S))
+        distinct = {tuple_key(z1, t): t for t in neighbors(z1, S)}.values()
+        got = sorted(tuple(e.coords[0] for e in t) for t in distinct)
         assert got == [(1, -1), (1, 0), (1, 1)]
         assert len(got) <= 8
 
@@ -128,7 +144,7 @@ class TestNeighbors:
         S = (z2.element((1, 0)), z2.element((0, 1)))
         for mv in moves_for(2):
             T = apply_move(z2, S, mv)
-            assert apply_move(z2, T, mv.inverse()) == S
+            assert apply_move(z2, T, inverse(mv)) == S
 
 
 class TestBall:
@@ -136,6 +152,18 @@ class TestBall:
         S = (z1.element((1,)), z1.element((1,)))
         table = ball(z1, S, 0)
         assert table.rows == [(0, 1)]
+
+    def test_negative_radius_rejected(self, z1):
+        S = (z1.element((1,)), z1.element((1,)))
+        with pytest.raises(PrpError, match="radius"):
+            ball(z1, S, -1)
+
+    def test_budget_below_one_rejected(self, z1):
+        # a layer is kept iff the ball including it fits the budget, so a
+        # budget of 0 cannot even hold layer 0
+        S = (z1.element((1,)), z1.element((1,)))
+        with pytest.raises(PrpError, match="budget"):
+            ball(z1, S, 2, budget=0)
 
     def test_radius_one_from_coprime_pair(self, z1):
         S = (z1.element((1,)), z1.element((1,)))
@@ -214,14 +242,13 @@ class TestAppendTrivial:
     def test_examples(self):
         backend = TreeBackend(CLASSICAL_OMEGA)
         S = tuple(word(CLASSICAL_OMEGA, x) for x in "abc")
-        padded = append_trivial(backend, S, 2)
+        padded = S + (backend.identity,) * 2
         assert len(padded) == 5
         assert padded[3].letters == "" and padded[4].letters == ""
-        assert append_trivial(backend, S, 0) == S
 
     def test_z2_padded_still_generating(self, z2):
         S = (z2.element((1, 0)), z2.element((0, 1)))
-        padded = append_trivial(z2, S, 1)
+        padded = S + (z2.identity,)
         assert z2.is_generating(padded)
 
 
@@ -262,7 +289,7 @@ class TestDot:
 
     def test_tree_dot_names_each_vertex_of_the_ball_once(self):
         backend = TreeBackend(CLASSICAL_OMEGA)
-        S = append_trivial(backend, tuple(word(CLASSICAL_OMEGA, x) for x in "abcd"), 1)
+        S = tuple(word(CLASSICAL_OMEGA, x) for x in "abcd") + (backend.identity,)
         text = ball_to_dot(backend, S, 2)
         names = set(re.findall(r"\bv\d+\b", text))
         assert len(names) == ball(backend, S, 2).rows[-1][1] == 399
@@ -271,3 +298,8 @@ class TestDot:
         S = (z1.element((1,)), z1.element((1,)))
         with pytest.raises(PrpError):
             ball_to_dot(z1, S, 12, max_vertices=50)
+
+    def test_negative_radius_rejected(self, z1):
+        S = (z1.element((1,)), z1.element((1,)))
+        with pytest.raises(PrpError, match="radius"):
+            ball_to_dot(z1, S, -1)

@@ -2,7 +2,6 @@ import pytest
 
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA
-from prplab.prp import append_trivial
 from prplab.randomwalk import _distance_map, rw_speed
 from prplab.words import word
 
@@ -10,7 +9,7 @@ from prplab.words import word
 def tree_setup():
     backend = TreeBackend(CLASSICAL_OMEGA)
     gens = tuple(word(CLASSICAL_OMEGA, x) for x in "abcd")
-    return backend, append_trivial(backend, gens, 1)
+    return backend, gens + (backend.identity,)
 
 
 def test_zero_steps_zero_distance():
@@ -67,6 +66,13 @@ def test_budget_truncation_reduces_censor_radius():
     assert stats.censor_radius < 10
 
 
+def test_budget_below_one_rejected():
+    backend = FreeAbelianBackend(1)
+    start = (backend.element((1,)), backend.element((1,)))
+    with pytest.raises(ValueError, match="budget"):
+        rw_speed(backend, start, steps=1, trials=1, radius=1, seed=0, budget=0)
+
+
 def test_small_tuple_rejected():
     backend = FreeAbelianBackend(1)
     with pytest.raises(ValueError):
@@ -80,6 +86,6 @@ def test_distance_map_budget_counts_only_new_vertices():
     start = (backend.element((1, 0)), backend.element((0, 1)))
     lookup, complete, truncated = _distance_map(backend, start, 8, budget=24)
     assert (complete, truncated) == (5, False)
-    assert lookup(start) == 0
+    assert lookup._distances(lookup.rows.start) == [0]
     _, complete, truncated = _distance_map(backend, start, 8, budget=23)
     assert (complete, truncated) == (3, True)

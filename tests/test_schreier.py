@@ -1,7 +1,8 @@
 import pytest
 
+from conftest import conjugate_family
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.schreier import SchreierError, conjugate_family, schreier, spanning_walk
+from prplab.schreier import SchreierError, schreier, spanning_walk
 from prplab.witnesses import witness_for
 from prplab.words import identity, word
 
