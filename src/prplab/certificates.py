@@ -8,12 +8,14 @@ through every conjugate h_i g h_i^(-1) in walk order. Checkpoints mark
 the move counts after which the spare slot must equal each conjugate.
 
 Verification replays the path move by move and re-derives every claim:
-walk validity, rigid-stabilizer membership, cubicity of the conjugate
-family (brute force for small k, disjoint supports otherwise), checkpoint
-equalities, alpha as the spelled witness length over 2^m (rounded up,
-at least 1), and the path length bound (alpha + 4) * 2^m. A verified
-certificate pins 2^k distinct tuples inside the ball of radius
-path_length + k around the padded base tuple, with no ball enumeration.
+walk validity (stepped along the labels on level-m strings),
+rigid-stabilizer membership, cubicity of the conjugate family (by
+transport from those two, cross-checked by brute force for small k),
+checkpoint equalities against conjugates computed one at a time, alpha
+as the spelled witness length over 2^m (rounded up, at least 1), and the
+path length bound (alpha + 4) * 2^m. A verified certificate pins 2^k
+distinct tuples inside the ball of radius path_length + k around the
+padded base tuple, with no ball enumeration.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import TreeBackend
-from .cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce, check_cubic_by_support
+from .cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce
 from .omega import OmegaSequence
 from .prp import NielsenMove, apply_move
-from .schreier import Label, _labels_to_word, schreier, spanning_walk
+from .schreier import Label, schreier, spanning_walk, walk_elements
 from .witnesses import witness_for
-from .words import identity, word
+from .words import MAX_LEVEL, identity, word
 
 FORMAT_HEADER = "prplab-certificate v1"
 
@@ -97,17 +99,17 @@ def build_certificate(
     omega: OmegaSequence,
     m: int,
     base: tuple[str, ...] = ("a", "b", "c", "d"),
-    max_level: int = 14,
 ) -> CubicCertificate:
     """Construct the certificate for level m over the given sequence.
 
-    Raises NoWitnessError for eventually constant sequences and
+    Raises ValueError for a level above MAX_LEVEL (before any witness is
+    built), NoWitnessError for eventually constant sequences and
     CertificateError when the Schreier graph is disconnected or the base
     cannot spell the witness.
     """
     gens = tuple(word(omega, w) for w in base)
     _, g = witness_for(omega, m)  # may raise NoWitnessError
-    graph = schreier(gens, m, max_level=max_level)
+    graph = schreier(gens, m)
     if not graph.connected:
         raise CertificateError(f"level-{m} Schreier graph is disconnected")
     start = "1" * m
@@ -140,20 +142,35 @@ def build_certificate(
     )
 
 
-def verify_certificate(cert: CubicCertificate, max_level: int = 14) -> VerificationResult:
+def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     """Independent replay of every claim a certificate makes.
 
-    Cubicity is settled by brute-force product enumeration for
-    k <= BRUTE_FORCE_CAP and by the disjoint-support criterion above it.
-    A level outside 0..max_level is refused before anything of size 2^level
+    A level outside 0..MAX_LEVEL is refused before anything of size 2^level
     is computed, and reports bound 0.
+
+    Cubicity is proved by transport. The checks below establish that g is
+    nontrivial and lies in Rist(start), that h_i(start) = visits[i] for
+    every walk element h_i, and that the visits are distinct strings of
+    level m. Since h Rist(v) h^-1 = Rist(h(v)) for every tree automorphism
+    h, conjugate i lies in Rist(visits[i]) and is nontrivial, so its
+    support at level m is exactly {visits[i]}; singleton supports at
+    distinct vertices make all 2^k subset products distinct. The
+    disjoint-support walk over the conjugates would repeat what these
+    checks already proved, so it is the tests' oracle, not a check here.
+    For k <= BRUTE_FORCE_CAP the act-based product enumeration remains as
+    an independent cross-check.
+
+    The walk is checked by stepping its labels on level-m strings, and the
+    conjugates h_i g h_i^-1 are computed one at a time at their
+    checkpoints, so no walk word acts on a string and no list of 2^m
+    conjugates is held.
     """
     failures: list[str] = []
     omega = cert.omega
     m = cert.level
     result = VerificationResult(ok=False, failures=failures, path_length=cert.path_length, k=cert.k)
-    if not 0 <= m <= max_level:
-        failures.append(f"level {m} outside the configured range 0..{max_level}")
+    if not 0 <= m <= MAX_LEVEL:
+        failures.append(f"level {m} outside the configured range 0..{MAX_LEVEL}")
         return result
     bound = result.bound = (cert.alpha + 4) * (2 ** m)
 
@@ -185,38 +202,31 @@ def verify_certificate(cert: CubicCertificate, max_level: int = 14) -> Verificat
     if failures:
         return result
 
-    # Recompute walk elements and conjugates from the recorded labels.
     for labels in cert.step_labels:
         for gi, _ in labels:
             if not 1 <= gi <= len(gens):
                 failures.append(f"step label references generator {gi}")
                 return result
-    h_words = [identity(omega)]
-    for labels in cert.step_labels:
-        h_words.append(_labels_to_word(gens, labels, omega) * h_words[-1])
-
-    for h, s in zip(h_words, cert.visits):
-        if h.act(cert.start) != s:
+    # h_(i+1) = (step word i) * h_i, so stepping the labels in order from
+    # h_i(start) reaches h_(i+1)(start).
+    inverses = [w.inverse() for w in gens]
+    at = cert.start
+    for labels, s in zip(cert.step_labels, cert.visits[1:]):
+        for gi, sign in labels:
+            at = (gens[gi - 1] if sign > 0 else inverses[gi - 1]).act(at)
+        if at != s:
             failures.append(f"walk element does not carry {cert.start!r} to {s!r}")
             return result
 
-    conjugates = [g.conjugate_by(h) for h in h_words]
-    support = check_cubic_by_support(conjugates, m)
-    for idx, s in enumerate(cert.visits):
-        if support.supports[idx] != {s}:
-            failures.append(f"conjugate {idx} is not supported exactly at {s!r}")
-    if not support.ok:
-        failures.extend(support.problems)
+    def conjugates():
+        return (g.conjugate_by(h) for h in walk_elements(gens, cert.step_labels, omega))
 
     if cert.k <= BRUTE_FORCE_CAP:
-        cubic = check_cubic_bruteforce(conjugates, fingerprint_level=max(7, m + 4))
-    else:
-        cubic = bool(support)
-    if not cubic:
-        failures.append("conjugate family is not cubic")
+        if not check_cubic_bruteforce(list(conjugates()), fingerprint_level=max(7, m + 4)):
+            failures.append("conjugate family is not cubic")
 
     # Replay the Nielsen path and compare the spare slot at checkpoints.
-    if len(cert.checkpoints) != len(conjugates):
+    if len(cert.checkpoints) != 2 ** m:
         failures.append("checkpoint count does not match conjugate count")
         return result
     if any(c < 0 or c > len(cert.moves) for c in cert.checkpoints) or sorted(
@@ -228,13 +238,14 @@ def verify_certificate(cert: CubicCertificate, max_level: int = 14) -> Verificat
     backend = TreeBackend(omega)
     entries = tuple(gens) + (identity(omega),)
     slot = len(entries)
+    expected = conjugates()
     applied = 0
     cp_idx = 0
 
     def take_checkpoints() -> None:
         nonlocal cp_idx
         while cp_idx < len(cert.checkpoints) and cert.checkpoints[cp_idx] == applied:
-            if not entries[slot - 1].equals(conjugates[cp_idx]):
+            if not entries[slot - 1].equals(next(expected)):
                 failures.append(f"checkpoint {cp_idx} mismatch after {applied} moves")
             cp_idx += 1
 

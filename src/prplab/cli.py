@@ -27,9 +27,9 @@ from .grpfile import GrpParseError, LoweredExplicit, LoweredFamily, parse as par
 from .omega import CLASSICAL_OMEGA, OmegaSequence
 from .prp import PrpError, ball, ball_to_dot, components_finite
 from .randomwalk import rw_speed
-from .schreier import SchreierError, schreier, spanning_walk
+from .schreier import SchreierError, schreier, spanning_walk, walk_elements
 from .witnesses import NoWitnessError, check_ad_order, relabel_for_d, verify_classical, verify_general
-from .words import WordError, word
+from .words import MAX_LEVEL, WordError, word
 
 USAGE_ERROR = 1
 VERIFY_FAIL = 2
@@ -135,19 +135,19 @@ def _backend_and_start(args) -> tuple[GroupBackend, tuple, str]:
 def _cmd_element(args) -> int:
     omega = _omega_from_args(args)
     g = word(omega, args.word, offset=args.offset)
-    _emit(_header(args, f"family({omega.describe()})"))
     if args.element_cmd == "reduce":
-        print(f"word={g.letters or 'identity'}")
+        lines = [f"word={g.letters or 'identity'}"]
     elif args.element_cmd == "act":
-        print(f"result={g.act(args.string)}")
+        lines = [f"result={g.act(args.string)}"]
     elif args.element_cmd == "order":
         result = g.order(args.cap)
-        print(f"order={'exceeds-cap' if result is None else result}")
-    elif args.element_cmd == "sections":
+        lines = [f"order={'exceeds-cap' if result is None else result}"]
+    else:  # sections
         pair = g.sections()
-        print(f"left={pair.left.letters or 'identity'}")
-        print(f"right={pair.right.letters or 'identity'}")
-        print(f"swapped={int(pair.swapped)}")
+        lines = [f"left={pair.left.letters or 'identity'}",
+                 f"right={pair.right.letters or 'identity'}",
+                 f"swapped={int(pair.swapped)}"]
+    _emit(_header(args, f"family({omega.describe()})") + lines)
     return 0
 
 
@@ -166,12 +166,13 @@ def _cmd_witness(args) -> int:
             return 0  # correctly routed branch, not a failure
         return 0 if report.valid else VERIFY_FAIL
     # sweep
-    cycles = [c for c in args.cycles.split(",") if c]
+    if args.n_max > MAX_LEVEL:
+        raise CliError(f"--n-max {args.n_max} above configured maximum {MAX_LEVEL}")
+    omegas = [OmegaSequence(args.prefix or "", c) for c in args.cycles.split(",") if c]
     _emit(_header(args, "sweep"))
     print("omega,n,status,letters_abcd,letters_abc,nontrivial,rist_ok,bound_ok")
     worst = 0
-    for cycle in cycles:
-        omega = OmegaSequence(args.prefix or "", cycle)
+    for omega in omegas:
         for n in range(0, args.n_max + 1):
             r = verify_general(omega, n)
             print(
@@ -200,8 +201,8 @@ def _print_witness(report) -> None:
 def _cmd_schreier(args) -> int:
     omega = _omega_from_args(args)
     gens = _tree_backend_entries(args, omega)
-    graph = schreier(gens, args.m, max_level=args.max_level)
-    _emit(_header(args, f"family({omega.describe()})", extra=f"max-level={args.max_level}"))
+    graph = schreier(gens, args.m)
+    _emit(_header(args, f"family({omega.describe()})", extra=f"max-level={MAX_LEVEL}"))
     if args.dot:
         print(graph.to_dot())
         return 0
@@ -218,7 +219,7 @@ def _cmd_schreier(args) -> int:
 def _cmd_walk(args) -> int:
     omega = _omega_from_args(args)
     gens = _tree_backend_entries(args, omega)
-    graph = schreier(gens, args.m, max_level=args.max_level)
+    graph = schreier(gens, args.m)
     start = args.start_vertex or "1" * args.m
     walk = spanning_walk(graph, start)
     _emit(_header(args, f"family({omega.describe()})"))
@@ -226,7 +227,8 @@ def _cmd_walk(args) -> int:
     print(f"visits={len(walk.visits)}")
     print(f"total_steps={walk.total_steps}")
     print("i,visit,walk_word")
-    for i, (s, h) in enumerate(zip(walk.visits, walk.h_words)):
+    hs = walk_elements(gens, walk.step_labels, omega)
+    for i, (s, h) in enumerate(zip(walk.visits, hs)):
         print(f"{i + 1},{s},{h.letters or 'identity'}")
     return 0
 
@@ -236,7 +238,7 @@ def _cmd_cert(args) -> int:
         omega = _omega_from_args(args)
         base = tuple(args.base.split(";"))
         try:
-            cert = build_certificate(omega, args.m, base=base, max_level=args.max_level)
+            cert = build_certificate(omega, args.m, base=base)
         except NoWitnessError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
@@ -250,7 +252,7 @@ def _cmd_cert(args) -> int:
     # verify
     text = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
     cert = parse_certificate(text)
-    result = verify_certificate(cert, max_level=args.max_level)
+    result = verify_certificate(cert)
     _emit(_header(args, f"family({cert.omega.describe()})"))
     print(f"status={'VALID' if result.ok else 'INVALID'}")
     print(f"level={cert.level}")
@@ -263,25 +265,19 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_prp_ball(args) -> int:
+    # Everything is computed before the first line is printed, so a usage
+    # error leaves stdout empty.
     backend, entries, desc = _backend_and_start(args)
-    _emit(
-        _header(
-            args,
-            desc,
-            extra=f"radius={args.radius} tuple-size={len(entries)}",
-        )
-    )
+    header = _header(args, desc, extra=f"radius={args.radius} tuple-size={len(entries)}")
     if args.dot:
-        print(ball_to_dot(backend, entries, args.radius, max_vertices=args.dot_max))
+        _emit(header + [ball_to_dot(backend, entries, args.radius, max_vertices=args.dot_max)])
         return 0
     table = ball(backend, entries, args.radius, budget=args.budget)
-    for row in table.csv_rows():
-        print(row)
-    print(f"# truncated={int(table.truncated)}")
+    lines = header + table.csv_rows() + [f"# truncated={int(table.truncated)}"]
     if args.rate:
-        radii = [int(r) for r in args.rate.split(",")]
-        report = growth_report(table, radii, beta=args.beta)
-        print(f"# rate={report.rate:.6f} subsequence={args.rate} beta={args.beta}")
+        rate = growth_report(table, [int(r) for r in args.rate.split(",")], beta=args.beta)
+        lines.append(f"# rate={rate:.6f} subsequence={args.rate} beta={args.beta}")
+    _emit(lines)
     return 0
 
 
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--dot", action="store_true")
-    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
     q.set_defaults(func=_cmd_schreier)
 
@@ -396,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--start-vertex", dest="start_vertex")
-    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
     q.set_defaults(func=_cmd_walk)
 
@@ -406,12 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--base", default="a;b;c;d", help="base tuple words separated by ';'")
     q.add_argument("--out")
-    q.add_argument("--max-level", type=int, default=14)
     _add_family_options(q)
     q.set_defaults(func=_cmd_cert)
     q = c_sub.add_parser("verify")
     q.add_argument("file", nargs="?", help="certificate file (default stdin)")
-    q.add_argument("--max-level", type=int, default=14)
     q.set_defaults(func=_cmd_cert)
 
     p_p = sub.add_parser("prp", help="product replacement graph exploration")

@@ -3,10 +3,15 @@
 Two independent routes. The brute-force route enumerates every ordered
 subset product g_1^e1 ... g_k^ek (e in {0,1}^k), comparing elements by
 the permutation they induce on a tree level deep enough to separate
-them; colliding fingerprints fall back to exact word equality, so the
-answer is exact. The support route never enumerates: disjoint singleton
-supports of nontrivial elements force all subset products apart. The two
-must agree wherever both apply.
+them; products are bucketed by the hash of that permutation and every
+pair within a bucket is settled by exact word equality, so the answer is
+exact. The support route never enumerates: disjoint singleton supports
+of nontrivial elements force all subset products apart. The two must
+agree wherever both apply.
+
+The certificate verifier runs the brute-force route for k <= 16 and
+proves the support condition by transport instead of computing it, so
+the support route is the tests' oracle for that argument.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     perms = [_level_perm(g, fingerprint_level, index) for g in elements]
     eye = np.arange(len(strings), dtype=np.int32)
 
-    by_print: dict[bytes, list[tuple[int, ...]]] = {}
+    # Buckets are keyed by the hash of a product's permutation, not by its
+    # bytes; products sharing a bucket are compared exactly below.
+    by_print: dict[int, list[tuple[int, ...]]] = {}
 
     def visit(j: int, acc: np.ndarray, eps: tuple[int, ...]) -> None:
         if j == k:
-            by_print.setdefault(acc.tobytes(), []).append(eps)
+            by_print.setdefault(hash(acc.tobytes()), []).append(eps)
             return
         visit(j + 1, acc, eps + (0,))
         # product grows on the right: acc . g_{j+1}
@@ -56,7 +63,7 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     for group in by_print.values():
         if len(group) < 2:
             continue
-        # Same fingerprint: settle exactly on the words.
+        # Same hash: settle every pair exactly on the words.
         words = [_subset_product(elements, eps) for eps in group]
         for a in range(len(words)):
             for b in range(a + 1, len(words)):
@@ -79,9 +86,6 @@ class SupportCheck:
     ok: bool
     supports: list[set[str]] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_cubic_by_support(elements: list[TreeWord], m: int) -> SupportCheck:

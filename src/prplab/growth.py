@@ -8,21 +8,11 @@ subsequence and takes the worst per-radius root as the certified rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .prp import BallTable
 
 
 class GrowthError(ValueError):
     pass
-
-
-@dataclass
-class GrowthReport:
-    table: BallTable
-    subsequence: list[int]
-    beta: float
-    rate: float  # min over the subsequence of |B(r)|^(1/r)
 
 
 def is_log_dense(radii: list[int], beta: float) -> bool:
@@ -34,8 +24,8 @@ def is_log_dense(radii: list[int], beta: float) -> bool:
     return True
 
 
-def growth_report(table: BallTable, subsequence: list[int], beta: float = 2.0) -> GrowthReport:
-    """Certified rate over a log-dense subsequence of recorded radii.
+def growth_report(table: BallTable, subsequence: list[int], beta: float = 2.0) -> float:
+    """Certified rate: the least |B(r)|^(1/r) over a log-dense subsequence.
 
     Radii beyond the table's completely explored range are an error: a
     truncated count is only a lower bound on the layer, not a ball size.
@@ -49,5 +39,4 @@ def growth_report(table: BallTable, subsequence: list[int], beta: float = 2.0) -
                 + (", truncated" if table.truncated else "")
                 + ")"
             )
-    rate = min(table.count_at(r) ** (1.0 / r) for r in subsequence)
-    return GrowthReport(table=table, subsequence=list(subsequence), beta=beta, rate=rate)
+    return min(table.count_at(r) ** (1.0 / r) for r in subsequence)

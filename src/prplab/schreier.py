@@ -11,9 +11,10 @@ stabilizer, one vertex at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
-from .words import TreeWord, identity, level_strings
+from .words import MAX_LEVEL, TreeWord, identity, level_strings
 
 
 class SchreierError(ValueError):
@@ -57,12 +58,12 @@ class SchreierGraph:
         return "\n".join(lines)
 
 
-def schreier(generators: tuple[TreeWord, ...], m: int, max_level: int = 14) -> SchreierGraph:
+def schreier(generators: tuple[TreeWord, ...], m: int) -> SchreierGraph:
     """Labeled action graph on all level-m strings."""
     if m < 0:
         raise SchreierError("level must be nonnegative")
-    if m > max_level:
-        raise SchreierError(f"level {m} above configured maximum {max_level}")
+    if m > MAX_LEVEL:
+        raise SchreierError(f"level {m} above configured maximum {MAX_LEVEL}")
     vertices = level_strings(m)
     index = {s: v for v, s in enumerate(vertices)}
     # Columns follow label order: (g1, +), (g1, -), (g2, +), ...
@@ -94,17 +95,15 @@ def schreier(generators: tuple[TreeWord, ...], m: int, max_level: int = 14) -> S
 class SpanningWalk:
     """Preorder visit of a lexicographic depth-first spanning tree.
 
-    h_words[i] is the walk element from the start to visits[i], so
-    act(h_words[i], start) == visits[i]; step_labels[i] are the labels
-    traversed between visits i and i+1 (backtracking included), and the
-    total label count is 2 * 2^m - 2.
+    step_labels[i] are the labels traversed between visits i and i+1
+    (backtracking included), and the total label count is 2 * 2^m - 2.
+    The walk elements h_i, with act(h_i, start) == visits[i], are derived
+    from the labels by walk_elements.
     """
 
     start: str
     visits: list[str]
-    h_words: list[TreeWord]
     step_labels: list[list[Label]]
-    step_words: list[TreeWord] = field(default_factory=list)
 
     @property
     def total_steps(self) -> int:
@@ -115,17 +114,8 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
     """Depth-first traversal from start, children in lexicographic order."""
     if not graph.connected:
         raise SchreierError("graph is disconnected; no spanning walk")
-    if not graph.generators:
-        raise SchreierError("need at least one generator")
     start_idx = graph.index_of(start)
-    gens = graph.generators
-    omega = gens[0].omega
     labels = graph.labels
-
-    def word_of(label: Label) -> TreeWord:
-        gi, sign = label
-        g = gens[gi - 1]
-        return g if sign > 0 else g.inverse()
 
     def targets(v: int):
         # Children scanned in lexicographic order of the target string,
@@ -139,10 +129,8 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
 
     visited = {start_idx}
     visits = [graph.vertices[start_idx]]
-    h_words = [identity(omega)]
     step_labels: list[list[Label]] = []
     pending: list[Label] = []
-    current_h = identity(omega)
     # Frame: (entry label used to reach the vertex, iterator of its targets).
     stack: list[tuple[Label | None, object]] = [(None, targets(start_idx))]
     while stack:
@@ -154,11 +142,9 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
             visited.add(w)
             label = labels[li]
             pending.append(label)
-            current_h = word_of(label) * current_h
             step_labels.append(pending)
             pending = []
             visits.append(s)
-            h_words.append(current_h)
             stack.append((label, targets(w)))
             descended = True
             break
@@ -166,18 +152,17 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
             continue
         stack.pop()
         if entry is not None:
-            back = (entry[0], -entry[1])
-            pending.append(back)
-            current_h = word_of(back) * current_h
+            pending.append((entry[0], -entry[1]))
+    return SpanningWalk(start=graph.vertices[start_idx], visits=visits, step_labels=step_labels)
 
-    walk = SpanningWalk(
-        start=graph.vertices[start_idx],
-        visits=visits,
-        h_words=h_words,
-        step_labels=step_labels,
-    )
-    walk.step_words = [_labels_to_word(gens, ls, omega) for ls in walk.step_labels]
-    return walk
+
+def walk_elements(gens, step_labels: list[list[Label]], omega) -> Iterator[TreeWord]:
+    """The walk elements h_0 = 1, h_(i+1) = (step word i) * h_i, one at a time."""
+    h = identity(omega)
+    yield h
+    for labels in step_labels:
+        h = _labels_to_word(gens, labels, omega) * h
+        yield h
 
 
 def _labels_to_word(gens, labels: list[Label], omega) -> TreeWord:

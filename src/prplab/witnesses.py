@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .omega import CLASSICAL_OMEGA, OmegaSequence
-from .words import TreeWord, same_action, word
+from .words import MAX_LEVEL, TreeWord, same_action, word
 
 _REWRITE = {"a": "aba", "b": "d", "c": "b", "d": "c"}
 
@@ -61,12 +61,12 @@ class WitnessReport:
         return "VALID" if self.valid else "INVALID"
 
 
-def classical_t(m: int, max_m: int = 10) -> TreeWord:
+def classical_t(m: int) -> TreeWord:
     """The m-th rewriting word over (dcb)*; 2^(m+2) letters."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > max_m:
-        raise ValueError(f"m={m} above configured maximum {max_m}")
+    if m > MAX_LEVEL:
+        raise ValueError(f"m={m} above configured maximum {MAX_LEVEL}")
     letters = "abab"
     for _ in range(m):
         letters = "".join(_REWRITE[ch] for ch in letters)
@@ -75,14 +75,14 @@ def classical_t(m: int, max_m: int = 10) -> TreeWord:
     return t
 
 
-def verify_classical(m: int, max_m: int = 10) -> WitnessReport:
+def verify_classical(m: int) -> WitnessReport:
     """Check that classical_t(m)^2 is a nontrivial rigid stabilizer element.
 
     Verified properties: the square is nontrivial, lies in Rist(1^m), its
     letter count over {a,b,c} is at most 2^(m+4), and the section of the
     word at 1^m acts like the base word abab.
     """
-    t = classical_t(m, max_m=max_m)
+    t = classical_t(m)
     square = t * t
     ray = "1" * m
     nontrivial = not square.is_identity()
@@ -150,8 +150,11 @@ def generalized_t(omega: OmegaSequence, n: int) -> TreeWord:
 
     Returns t with 2^(n+1) letters such that t^2 is nontrivial and lies in
     Rist(1^n); construction is done over the relabeled sequence and mapped
-    back through the (self-inverse) letter permutation.
+    back through the (self-inverse) letter permutation. A level above
+    MAX_LEVEL is refused before any word is grown.
     """
+    if n > MAX_LEVEL:
+        raise ValueError(f"n={n} above configured maximum {MAX_LEVEL}")
     if omega.is_eventually_constant():
         raise NoWitnessError("no-witness: use infinite-order path")
     if n < 0:

@@ -37,6 +37,10 @@ _KLEIN = {
 # rather than silently eating all memory.
 MAX_WORD_LETTERS = 8_000_000
 
+# Deepest tree level any command works at: Schreier graphs, walks,
+# witnesses and certificates. A level-14 witness has 2^16 letters.
+MAX_LEVEL = 14
+
 
 class WordError(ValueError):
     pass

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.schreier import SchreierError, SpanningWalk
+from prplab.schreier import SchreierError, SpanningWalk, walk_elements
 from prplab.words import TreeWord, reduce_letters
 
 
@@ -31,15 +32,40 @@ def mod_elements(backend) -> list:
     return [backend.element(c) for c in itertools.product(range(backend.p), repeat=backend.d)]
 
 
-def conjugate_family(g: TreeWord, walk: SpanningWalk) -> list[TreeWord]:
-    """Conjugates h_i g h_i^-1, one per visited vertex.
+def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk) -> list[TreeWord]:
+    """Conjugates h_i g h_i^-1, one per visited vertex of a walk over gens.
 
     Requires g to lie in the rigid stabilizer of the walk's start; each
     conjugate then lies in the rigid stabilizer of the matching visit.
     """
     if not g.in_rist(walk.start):
         raise SchreierError(f"witness is not in the rigid stabilizer of {walk.start!r}")
-    return [g.conjugate_by(h) for h in walk.h_words]
+    return [g.conjugate_by(h) for h in walk_elements(gens, walk.step_labels, g.omega)]
+
+
+def replace_field(text: str, field: str, value: str, index: int) -> str:
+    """The certificate with the value of its index-th `field:` line replaced."""
+    lines = text.splitlines()
+    at = [i for i, ln in enumerate(lines) if ln.startswith(f"{field}:")]
+    lines[at[index % len(at)]] = f"{field}: {value}"
+    return "\n".join(lines) + "\n"
+
+
+_ints = st.integers(min_value=-3, max_value=40).map(str)
+_moves = st.builds(
+    "{}{}{},{}".format, st.sampled_from("RLQ"), st.sampled_from("+-"), _ints, _ints
+) | st.sampled_from(["R+1", "", "x"])
+certificate_mutations = st.one_of(
+    st.tuples(st.just("moves"), st.lists(_moves, max_size=40).map(" ".join)),
+    st.tuples(st.just("checkpoints"), st.lists(_ints | st.just("x"), max_size=6).map(" ".join)),
+    st.tuples(st.just("visits"), st.lists(st.text("01-x", max_size=3), max_size=6).map(" ".join)),
+    st.tuples(st.just("step"), st.lists(
+        st.builds("{}{}".format, _ints, st.sampled_from("+-")), max_size=4).map(" ".join)),
+    st.tuples(st.just("witness"), st.text("abcdx", max_size=40)),
+    st.tuples(st.just("level"), st.sampled_from(["100000000", "-1", "-7", "0", "3", "15", "x"])),
+    st.tuples(st.just("k"), (st.integers(-2, 40) | st.just(2**40)).map(str)),
+    st.tuples(st.just("alpha"), (st.integers(-5, 40) | st.just(10**9)).map(str)),
+)
 
 
 @pytest.fixture

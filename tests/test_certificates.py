@@ -1,7 +1,11 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import certificate_mutations, replace_field
 from prplab.certificates import (
     CertificateError,
     build_certificate,
@@ -9,8 +13,10 @@ from prplab.certificates import (
     serialize_certificate,
     verify_certificate,
 )
+from prplab.cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce, check_cubic_by_support
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.prp import NielsenMove
+from prplab.schreier import walk_elements
 from prplab.witnesses import NoWitnessError
 from prplab.words import identity, word
 
@@ -177,3 +183,72 @@ class TestSerialization:
     def test_malformed_move(self):
         with pytest.raises(Exception):
             NielsenMove.parse("Q+1,2")
+
+
+# -- transport against the support oracle -----------------------------------
+
+SEQUENCES = {"(dcb)*": CLASSICAL_OMEGA, "(db)*": OmegaSequence("", "db"),
+             '"c"(db)*': OmegaSequence("c", "db")}
+
+
+@functools.cache
+def _certificate_text(sequence: str, m: int) -> str:
+    return serialize_certificate(build_certificate(SEQUENCES[sequence], m))
+
+
+def _swap_tokens(text: str, field: str, index: int, i: int, j: int) -> str:
+    """The certificate with two tokens of its index-th `field:` line swapped."""
+    lines = text.splitlines()
+    at = [n for n, ln in enumerate(lines) if ln.startswith(f"{field}:")]
+    n = at[index % len(at)]
+    tokens = lines[n].partition(":")[2].split()
+    if tokens:
+        i, j = i % len(tokens), j % len(tokens)
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    lines[n] = f"{field}: " + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+_sequences = st.sampled_from(sorted(SEQUENCES))
+_indices = st.integers(min_value=0, max_value=10**6)
+_valid = st.tuples(_sequences, st.integers(0, 8), st.none())
+_replaced = st.tuples(_sequences, st.integers(1, 4),
+                      st.tuples(st.just("replace"), certificate_mutations, _indices))
+_swapped = st.tuples(_sequences, st.integers(1, 4), st.tuples(
+    st.just("swap"), st.sampled_from(["visits", "step", "moves", "checkpoints", "base"]),
+    _indices, _indices, _indices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_valid, _replaced, _swapped))
+# Two visits swapped behind the start: only the walk check rejects these.
+@example(("(dcb)*", 3, ("swap", "visits", 0, 1, 2)))
+@example(('"c"(db)*', 4, ("swap", "visits", 0, 3, 9)))
+def test_transport_verdict_agrees_with_support_oracle(case):
+    # Whenever the verifier says VALID without computing supports, the
+    # disjoint-support walk over the conjugates must find each one supported
+    # exactly at its visit, and for k <= 16 the product enumeration agrees.
+    sequence, m, mutation = case
+    text = _certificate_text(sequence, m)
+    if mutation is not None and mutation[0] == "replace":
+        (field, value), index = mutation[1], mutation[2]
+        text = replace_field(text, field, value, index)
+    elif mutation is not None:
+        text = _swap_tokens(text, *mutation[1:])
+    try:
+        cert = parse_certificate(text)
+    except CertificateError:
+        return
+    result = verify_certificate(cert)
+    assert result.ok or mutation is not None, result.failures
+    if not result.ok:
+        return
+    omega = cert.omega
+    g = word(omega, cert.witness)
+    gens = tuple(word(omega, w) for w in cert.base)
+    family = [g.conjugate_by(h) for h in walk_elements(gens, cert.step_labels, omega)]
+    support = check_cubic_by_support(family, cert.level)
+    assert support.ok, support.problems
+    assert support.supports == [{v} for v in cert.visits]
+    if cert.k <= BRUTE_FORCE_CAP:
+        assert check_cubic_bruteforce(family, fingerprint_level=max(7, cert.level + 4))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import certificate_mutations, replace_field
 from prplab.certificates import build_certificate, serialize_certificate
 from prplab.cli import main
 from prplab.omega import CLASSICAL_OMEGA
@@ -129,39 +130,14 @@ def _m2_certificate() -> str:
     return serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))
 
 
-def _replace_field(text: str, field: str, value: str, index: int) -> str:
-    """The certificate with the value of its index-th `field:` line replaced."""
-    lines = text.splitlines()
-    at = [i for i, ln in enumerate(lines) if ln.startswith(f"{field}:")]
-    lines[at[index % len(at)]] = f"{field}: {value}"
-    return "\n".join(lines) + "\n"
-
-
-_ints = st.integers(min_value=-3, max_value=40).map(str)
-_moves = st.builds(
-    "{}{}{},{}".format, st.sampled_from("RLQ"), st.sampled_from("+-"), _ints, _ints
-) | st.sampled_from(["R+1", "", "x"])
-_mutations = st.one_of(
-    st.tuples(st.just("moves"), st.lists(_moves, max_size=40).map(" ".join)),
-    st.tuples(st.just("checkpoints"), st.lists(_ints | st.just("x"), max_size=6).map(" ".join)),
-    st.tuples(st.just("visits"), st.lists(st.text("01-x", max_size=3), max_size=6).map(" ".join)),
-    st.tuples(st.just("step"), st.lists(
-        st.builds("{}{}".format, _ints, st.sampled_from("+-")), max_size=4).map(" ".join)),
-    st.tuples(st.just("witness"), st.text("abcdx", max_size=40)),
-    st.tuples(st.just("level"), st.sampled_from(["100000000", "-1", "-7", "0", "3", "15", "x"])),
-    st.tuples(st.just("k"), (st.integers(-2, 40) | st.just(2**40)).map(str)),
-    st.tuples(st.just("alpha"), (st.integers(-5, 40) | st.just(10**9)).map(str)),
-)
-
-
 @settings(max_examples=120, deadline=None)
-@given(_mutations, st.integers(min_value=0, max_value=2))
+@given(certificate_mutations, st.integers(min_value=0, max_value=2))
 def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
     # Every single-field mutation of a valid certificate is a parse error
     # (exit 1, before any output), INVALID (exit 2) or still VALID; nothing
     # escapes as a crash or fails halfway through the report.
     field, value = mutation
-    text = _replace_field(_m2_certificate(), field, value, index)
+    text = replace_field(_m2_certificate(), field, value, index)
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     try:
@@ -175,6 +151,58 @@ def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
     assert (code == 1) == err.getvalue().startswith("error: ")
     assert code != 1 or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+def test_cert_build_verify_pipe_above_ten(capsys):
+    # levels 11..14 build and verify; cubicity there is proved by transport
+    code, text, err = run_cli(capsys, "cert", "build", "--m", "11")
+    assert code == 0 and err == ""
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        code, out, err = run_cli(capsys, "cert", "verify")
+    finally:
+        sys.stdin = stdin
+    assert code == 0 and err == ""
+    assert "status=VALID" in out.splitlines() and "k=2048" in out.splitlines()
+
+
+_ZD = ["prp", "ball", "--group", "zd", "--start", "1;1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_ZD, "--radius", "-1"],
+    [*_ZD, "--radius", "9", "--rate", "1,9"],
+    [*_ZD, "--radius", "9", "--rate", "2,x"],
+    [*_ZD, "--size", "4", "--radius", "4", "--dot", "--dot-max", "10"],
+    ["element", "act", "--word", "ab", "--string", "12"],
+    ["element", "order", "--word", "ad", "--cap", "31"],
+    ["witness", "sweep", "--cycles", "dcx"],
+    ["witness", "sweep", "--cycles", "dcb", "--n-max", "15"],
+    ["witness", "classical", "--m", "15"],
+    ["witness", "general", "--omega", "db", "--n", "15"],
+    ["witness", "general", "--omega", "b", "--n", "15"],
+    ["cert", "build", "--m", "15"],
+    ["cert", "build", "--omega", "db", "--m", "15"],
+    ["schreier", "--m", "15"],
+    ["walk", "--m", "15"],
+])
+def test_usage_errors_leave_stdout_empty(capsys, argv):
+    # inputs are checked, or the report computed, before the first line is printed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", [["schreier", "--m", "2"], ["walk", "--m", "2"],
+                                 ["cert", "build", "--m", "2"], ["cert", "verify"]])
+def test_max_level_is_not_an_option(capsys, cmd):
+    # one fixed cap, MAX_LEVEL = 14, bounds every level
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--max-level", "14"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("label", ["x+", "+"])

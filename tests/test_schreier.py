@@ -2,7 +2,7 @@ import pytest
 
 from conftest import conjugate_family
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.schreier import SchreierError, schreier, spanning_walk
+from prplab.schreier import SchreierError, schreier, spanning_walk, walk_elements
 from prplab.witnesses import witness_for
 from prplab.words import identity, word
 
@@ -51,7 +51,9 @@ class TestSpanningWalk:
         graph = schreier(classical_gens(), 1)
         walk = spanning_walk(graph, "1")
         assert walk.visits == ["1", "0"]
-        assert [w.letters for w in walk.step_words] == ["a"]
+        assert walk.step_labels == [[(1, 1)]]
+        hs = list(walk_elements(graph.generators, walk.step_labels, CLASSICAL_OMEGA))
+        assert [h.letters for h in hs] == ["", "a"]
         assert walk.total_steps == 1
 
     def test_level_three_cost(self):
@@ -65,15 +67,18 @@ class TestSpanningWalk:
         graph = schreier(classical_gens(), m)
         walk = spanning_walk(graph, "1" * m)
         assert sorted(walk.visits) == sorted(graph.vertices)
-        assert walk.h_words[0].letters == ""
-        for h, s in zip(walk.h_words, walk.visits):
+        hs = list(walk_elements(graph.generators, walk.step_labels, CLASSICAL_OMEGA))
+        assert len(hs) == len(walk.visits)
+        assert hs[0].letters == ""
+        for h, s in zip(hs, walk.visits):
             assert h.act(walk.start) == s
-        # step words multiply h_i into h_{i+1}
-        for i, step in enumerate(walk.step_words):
-            assert (step * walk.h_words[i]).equals(walk.h_words[i + 1])
+        # h_{i+1} h_i^-1 is the step word: one letter or fewer per label
+        steps = [after * before.inverse() for before, after in zip(hs, hs[1:])]
+        for step, labels in zip(steps, walk.step_labels):
+            assert step.word_length() <= len(labels)
         if m > 0:
             assert walk.total_steps <= 2 * 2 ** m - 2
-        assert sum(w.word_length() for w in walk.step_words) <= 2 * 2 ** m
+        assert sum(w.word_length() for w in steps) <= 2 * 2 ** m
 
     def test_disconnected_rejected(self):
         # the subgroup generated by b,c,d alone fixes the first bit
@@ -89,14 +94,14 @@ class TestConjugateFamily:
         _, sq = witness_for(CLASSICAL_OMEGA, 2)
         graph = schreier(classical_gens(), 2)
         walk = spanning_walk(graph, "11")
-        family = conjugate_family(sq, walk)
+        family = conjugate_family(sq, graph.generators, walk)
         assert family[0].equals(sq)
 
     def test_supports_are_disjoint_singletons(self):
         _, sq = witness_for(CLASSICAL_OMEGA, 2)
         graph = schreier(classical_gens(), 2)
         walk = spanning_walk(graph, "11")
-        family = conjugate_family(sq, walk)
+        family = conjugate_family(sq, graph.generators, walk)
         supports = [c.support(2) for c in family]
         assert supports == [{s} for s in walk.visits]
 
@@ -104,10 +109,10 @@ class TestConjugateFamily:
         graph = schreier(classical_gens(), 2)
         walk = spanning_walk(graph, "11")
         with pytest.raises(SchreierError):
-            conjugate_family(word(CLASSICAL_OMEGA, "a"), walk)
+            conjugate_family(word(CLASSICAL_OMEGA, "a"), graph.generators, walk)
 
     def test_identity_conjugates_rejected_by_support_check(self):
         graph = schreier(classical_gens(), 1)
         walk = spanning_walk(graph, "1")
-        family = conjugate_family(identity(CLASSICAL_OMEGA), walk)
+        family = conjugate_family(identity(CLASSICAL_OMEGA), graph.generators, walk)
         assert all(c.is_identity() for c in family)

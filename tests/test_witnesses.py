@@ -28,8 +28,9 @@ class TestClassical:
         assert len(classical_t(3).letters) == 32
 
     def test_max_level_guard(self):
-        with pytest.raises(ValueError):
-            classical_t(11)
+        # refused before the 2^(m+2)-letter word is grown
+        with pytest.raises(ValueError, match="m=15 above configured maximum 14"):
+            classical_t(15)
 
     @pytest.mark.parametrize("m", range(0, 7))
     def test_verify(self, m):
@@ -91,6 +92,12 @@ class TestGeneralized:
             generalized_t(OmegaSequence("", "b"), 2)
         with pytest.raises(NoWitnessError):
             generalized_t(OmegaSequence("bcd", "c"), 2)
+
+    @pytest.mark.parametrize("cycle", ["db", "b"])
+    def test_max_level_guard(self, cycle):
+        # refused before the 2^(n+1)-letter ladder is grown, for every sequence
+        with pytest.raises(ValueError, match="n=15 above configured maximum 14"):
+            generalized_t(OmegaSequence("", cycle), 15)
 
     def test_classical_n4(self):
         om = CLASSICAL_OMEGA
