@@ -157,8 +157,8 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     distinct vertices make all 2^k subset products distinct. The
     disjoint-support walk over the conjugates would repeat what these
     checks already proved, so it is the tests' oracle, not a check here.
-    For k <= BRUTE_FORCE_CAP the act-based product enumeration remains as
-    an independent cross-check.
+    For k <= BRUTE_FORCE_CAP enumerating all 2^k subset products, as
+    permutations of level max(7, m + 4), remains an independent cross-check.
 
     The walk is checked by stepping its labels on level-m strings, and the
     conjugates h_i g h_i^-1 are computed one at a time at their

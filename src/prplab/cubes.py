@@ -1,13 +1,12 @@
 """Cubicity of element tuples: are all 2^k subset products distinct?
 
 Two independent routes. The brute-force route enumerates every ordered
-subset product g_1^e1 ... g_k^ek (e in {0,1}^k), comparing elements by
-the permutation they induce on a tree level deep enough to separate
-them; products are bucketed by the hash of that permutation and every
-pair within a bucket is settled by exact word equality, so the answer is
-exact. The support route never enumerates: disjoint singleton supports
-of nontrivial elements force all subset products apart. The two must
-agree wherever both apply.
+subset product g_1^e1 ... g_k^ek (e in {0,1}^k) as a permutation of one
+tree level, composed from the generators' permutations; products whose
+fingerprints meet are settled pairwise by exact word equality, so the
+answer is exact. The support route never enumerates: disjoint singleton
+supports of nontrivial elements force all subset products apart. The two
+must agree wherever both apply.
 
 The certificate verifier runs the brute-force route for k <= 16 and
 proves the support condition by transport instead of computing it, so
@@ -18,65 +17,86 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
-from .words import TreeWord, WordError, identity, level_strings
+from .words import LETTERS, TreeWord, WordError, identity, level_strings
 
 BRUTE_FORCE_CAP = 16
+_BLOCK = 1 << 18  # entries of product permutations formed at once
 
 
 class CubeError(ValueError):
     pass
 
 
-def _level_perm(g: TreeWord, level: int, index: dict[str, int]) -> np.ndarray:
-    return np.array([index[g.act(s)] for s in level_strings(level)], dtype=np.int32)
+def _fingerprint(rows: np.ndarray) -> np.ndarray:
+    """One 64-bit print per row, equal for equal rows: the row bytes as
+    zero-padded 64-bit words, each mixed by an odd multiply and an
+    xor-shift, summed with fixed odd weights mod 2^64."""
+    data = rows.view(np.uint8)
+    if data.shape[1] % 8:
+        data = np.pad(data, ((0, 0), (0, -data.shape[1] % 8)))
+    z = data.view(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(29)
+    weights = np.arange(1, z.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return z @ (weights ^ weights >> np.uint64(32) | np.uint64(1))
 
 
 def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7) -> bool:
-    """Enumerate all 2^k subset products and test pairwise distinctness."""
+    """True iff all 2^k subset products are distinct, told apart by their
+    permutation of level `fingerprint_level` (0..16) or as words. The
+    elements must share omega and offset."""
     k = len(elements)
     if k > BRUTE_FORCE_CAP:
         raise CubeError(f"k={k} above brute-force cap {BRUTE_FORCE_CAP}; use support criterion")
+    if not 0 <= fingerprint_level <= 16:
+        raise CubeError(f"fingerprint level {fingerprint_level} outside 0..16")
     if k == 0:
         return True
+    omega, offset = elements[0].omega, elements[0].offset
+    if any(g.omega != omega or g.offset != offset for g in elements):
+        raise CubeError("elements mix defining sequences or offsets; their products are undefined")
+
     strings = level_strings(fingerprint_level)
     index = {s: i for i, s in enumerate(strings)}
-    perms = [_level_perm(g, fingerprint_level, index) for g in elements]
-    eye = np.arange(len(strings), dtype=np.int32)
+    dtype = np.uint8 if fingerprint_level <= 8 else np.uint16
+    gens = {ch: np.array([index[t] for t in map(TreeWord(omega, offset, ch).act, strings)], dtype)
+            for ch in LETTERS}
+    eye = np.arange(len(strings), dtype=dtype)
+    # act applies the rightmost letter first.
+    perms = [reduce(lambda p, ch: gens[ch][p], reversed(g.letters), eye) for g in elements]
+    # Row r of a half is the ordered product of its members whose bits are set in r.
+    left, right = (reduce(lambda acc, p: np.concatenate([acc, acc[:, p]]), half, eye[None, :])
+                   for half in (perms[:k // 2], perms[k // 2:]))
+    # prints[i, j] is the print of left[i] . right[j], the map left[i][right[j]].
+    n = len(strings)
+    step_r = max(1, _BLOCK // n)
+    step_l = max(1, _BLOCK // (n * min(len(right), step_r)))
+    prints = np.empty((len(left), len(right)), dtype=np.uint64)
+    for i in range(0, len(left), step_l):
+        for j in range(0, len(right), step_r):
+            block = np.take(left[i:i + step_l], right[j:j + step_r], axis=1)
+            prints[i:i + step_l, j:j + step_r] = _fingerprint(block.reshape(-1, n)).reshape(block.shape[:2])
 
-    # Buckets are keyed by the hash of a product's permutation, not by its
-    # bytes; products sharing a bucket are compared exactly below.
-    by_print: dict[int, list[tuple[int, ...]]] = {}
-
-    def visit(j: int, acc: np.ndarray, eps: tuple[int, ...]) -> None:
-        if j == k:
-            by_print.setdefault(hash(acc.tobytes()), []).append(eps)
-            return
-        visit(j + 1, acc, eps + (0,))
-        # product grows on the right: acc . g_{j+1}
-        visit(j + 1, acc[perms[j]], eps + (1,))
-
-    visit(0, eye, ())
-
-    for group in by_print.values():
-        if len(group) < 2:
-            continue
-        # Same hash: settle every pair exactly on the words.
-        words = [_subset_product(elements, eps) for eps in group]
-        for a in range(len(words)):
-            for b in range(a + 1, len(words)):
-                if words[a].equals(words[b]):
-                    return False
+    # Only runs of equal prints are settled, pairwise and exactly.
+    prints = prints.ravel()
+    order = np.argsort(prints)
+    ranked = prints[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    sizes = np.diff(starts, append=len(ranked))
+    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        group = order[start:start + size].tolist()
+        words = [_subset_product(elements, r // len(right) | r % len(right) << k // 2) for r in group]
+        if any(u.equals(v) for u, v in combinations(words, 2)):
+            return False
     return True
 
 
-def _subset_product(elements: list[TreeWord], eps: tuple[int, ...]) -> TreeWord:
-    chosen = [g for g, e in zip(elements, eps) if e]
-    if not chosen:
-        return identity(elements[0].omega, elements[0].offset)
-    return reduce(lambda x, y: x * y, chosen)
+def _subset_product(elements: list[TreeWord], mask: int) -> TreeWord:
+    chosen = [g for j, g in enumerate(elements) if mask >> j & 1]
+    return reduce(lambda x, y: x * y, chosen, identity(elements[0].omega, elements[0].offset))
 
 
 @dataclass

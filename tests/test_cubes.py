@@ -1,13 +1,20 @@
+from functools import reduce
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import conjugate_family
 
 from prplab import cubes
 from prplab.cubes import CubeError, check_cubic_bruteforce, check_cubic_by_support
-from prplab.omega import CLASSICAL_OMEGA
+from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.schreier import schreier, spanning_walk
 from prplab.witnesses import witness_for
-from prplab.words import identity, word
+from prplab.words import TreeWord, identity, level_strings, word
+
+DB_OMEGA = OmegaSequence("", "db")
 
 
 def family_at_level(m):
@@ -15,6 +22,72 @@ def family_at_level(m):
     _, sq = witness_for(CLASSICAL_OMEGA, m)
     walk = spanning_walk(schreier(gens, m), "1" * m)
     return conjugate_family(sq, gens, walk)
+
+
+def bruteforce_oracle(elements, fingerprint_level=7):
+    """Cubicity by recursive enumeration, each element acting on every string.
+
+    Products are bucketed by the hash of their level permutation, and
+    every pair within a bucket is compared as words.
+    """
+    k = len(elements)
+    if k == 0:
+        return True
+    strings = level_strings(fingerprint_level)
+    index = {s: i for i, s in enumerate(strings)}
+    perms = [np.array([index[g.act(s)] for s in strings], dtype=np.int32) for g in elements]
+    by_print = {}
+
+    def visit(j, acc, eps):
+        if j == k:
+            by_print.setdefault(hash(acc.tobytes()), []).append(eps)
+            return
+        visit(j + 1, acc, eps + (0,))
+        # product grows on the right: acc . g_{j+1}
+        visit(j + 1, acc[perms[j]], eps + (1,))
+
+    visit(0, np.arange(len(strings), dtype=np.int32), ())
+    one = identity(elements[0].omega, elements[0].offset)
+    for group in by_print.values():
+        words = [reduce(lambda x, y: x * y, [g for g, e in zip(elements, eps) if e], one)
+                 for eps in group]
+        for a in range(len(words)):
+            for b in range(a + 1, len(words)):
+                if words[a].equals(words[b]):
+                    return False
+    return True
+
+
+@st.composite
+def families(draw):
+    """Up to 8 words over one sequence and offset, with forced coincidences."""
+    omega = draw(st.sampled_from([CLASSICAL_OMEGA, DB_OMEGA]))
+    offset = draw(st.integers(0, 2))
+    raws = draw(st.lists(st.text("abcd", max_size=8), min_size=1, max_size=6))
+    family = [word(omega, raw, offset) for raw in raws]
+    extra = draw(st.sampled_from(["none", "repeat", "identity", "spelled"]))
+    if extra == "repeat":
+        family.append(draw(st.sampled_from(family)))
+    elif extra == "identity":
+        # adadadad = (ad)^4 is trivial over (dcb)* at offset 0, yet only
+        # word equality finds it equal to the empty product.
+        family.append(word(omega, draw(st.sampled_from(["", "adadadad"])), offset))
+    elif extra == "spelled":
+        family += [word(omega, "adad", offset), word(omega, "dada", offset)]
+    return draw(st.permutations(family))
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=families(), level=st.integers(0, 9))
+@example(family=[word(CLASSICAL_OMEGA, "adad"), word(CLASSICAL_OMEGA, "dada")], level=3)
+@example(family=[word(CLASSICAL_OMEGA, "b"), word(CLASSICAL_OMEGA, "adad"),
+                 word(CLASSICAL_OMEGA, "dada")], level=3)
+# Neither is cubic, but each would be with its members in another order.
+@example(family=[word(CLASSICAL_OMEGA, w) for w in ("ba", "ac", "d")], level=5)
+@example(family=[word(CLASSICAL_OMEGA, w) for w in ("da", "a", "ca", "d")], level=5)
+@example(family=[word(CLASSICAL_OMEGA, "adadadad")], level=3)
+def test_bruteforce_matches_recursive_oracle(family, level):
+    assert check_cubic_bruteforce(family, level) is bruteforce_oracle(family, level)
 
 
 class TestBruteForce:
@@ -49,20 +122,56 @@ class TestBruteForce:
         assert u.letters != v.letters and u.equals(v)
         assert not check_cubic_bruteforce([u, v], fingerprint_level=3)
 
+    @pytest.mark.parametrize("family", [
+        [TreeWord(CLASSICAL_OMEGA, 0, "b"), TreeWord(CLASSICAL_OMEGA, 1, "b")],
+        [word(CLASSICAL_OMEGA, "b"), word(DB_OMEGA, "b")],
+    ], ids=["offsets", "omegas"])
+    def test_mixed_family_refused(self, family):
+        # Products of such a family are undefined, colliding prints or not.
+        with pytest.raises(CubeError, match="mix"):
+            check_cubic_bruteforce(family)
+
+    @pytest.mark.parametrize("level", [0, 9])
+    def test_levels_at_the_ends_of_a_dtype(self, level):
+        # Level 0 prints every product alike; level 9 needs 16-bit entries.
+        family = family_at_level(2)
+        assert check_cubic_bruteforce(family, level) is bruteforce_oracle(family, level) is True
+
+    @pytest.mark.parametrize("level", [-1, 17])
+    def test_level_out_of_range(self, level):
+        with pytest.raises(CubeError, match="outside 0..16"):
+            check_cubic_bruteforce([word(CLASSICAL_OMEGA, "a")], level)
+
+    def test_generators_alone_act(self, monkeypatch):
+        # Element permutations are composed from the generators' ones, so
+        # the k = 16 family acts once per generator and level-8 string.
+        family = family_at_level(4)
+        calls = 0
+        act = TreeWord.act
+
+        def counted(self, s):
+            nonlocal calls
+            calls += 1
+            return act(self, s)
+
+        monkeypatch.setattr(TreeWord, "act", counted)
+        assert check_cubic_bruteforce(family, fingerprint_level=8)
+        assert calls <= 4 * 2 ** 8
+
 
 @pytest.mark.parametrize("letters, expected", [
     (["a", "b"], True), (["a", "a"], False), (["a", ""], False),
     (["adad", "dada"], False), ([], True), (None, True),
 ], ids=["a-b", "a-a", "a-1", "adad-dada", "empty", "family-m2"])
 def test_one_hash_bucket_keeps_every_verdict(monkeypatch, letters, expected):
-    # A module-level `hash` shadows the builtin: every product lands in one
-    # bucket, and only the exact pairwise comparison can tell them apart.
+    # A constant fingerprint puts every product in one bucket, and only the
+    # exact pairwise comparison can tell them apart.
     if letters is None:
         family = family_at_level(2)
     else:
         family = [word(CLASSICAL_OMEGA, w) for w in letters]
     assert check_cubic_bruteforce(family) is expected
-    monkeypatch.setattr(cubes, "hash", lambda _: 0, raising=False)
+    monkeypatch.setattr(cubes, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
     assert check_cubic_bruteforce(family) is expected
 
 
