@@ -4,9 +4,11 @@ A backend packages identity, multiply, invert, equality and a hashable
 canonical key for one group, which is all the product replacement
 machinery needs. Keys are exact on every backend: two elements have the
 same key iff they are equal. The abelian backends key an element by its
-coordinates (residues are reduced mod p on construction); the tree
-backend keys a word by its minimal portrait over the nucleus. Exact keys
-let the array frontier (prp._frontier) intern each distinct tree element
+coordinates (residues are reduced mod p on construction), and their
+`check` refuses an element of another type, modulus or dimension; the
+array frontier (prp._frontier) checks a start tuple with it before any
+move. The tree backend keys a word by its minimal portrait over the
+nucleus. Exact keys let the frontier intern each distinct tree element
 as one dense id, so a ball multiplies each needed pair of elements once.
 """
 
@@ -104,12 +106,12 @@ class FreeAbelianBackend(GroupBackend):
         return FreeAbelianElement(coords)
 
     def multiply(self, x: FreeAbelianElement, y: FreeAbelianElement) -> FreeAbelianElement:
-        self._check(x)
-        self._check(y)
+        self.check(x)
+        self.check(y)
         return FreeAbelianElement(tuple(a + b for a, b in zip(x.coords, y.coords)))
 
     def invert(self, x: FreeAbelianElement) -> FreeAbelianElement:
-        self._check(x)
+        self.check(x)
         return FreeAbelianElement(tuple(-a for a in x.coords))
 
     def equals(self, x: FreeAbelianElement, y: FreeAbelianElement) -> bool:
@@ -121,7 +123,10 @@ class FreeAbelianBackend(GroupBackend):
     def is_generating(self, entries: Sequence[FreeAbelianElement]) -> bool:
         return is_generating_abelian(list(entries), d=self.d)
 
-    def _check(self, x: FreeAbelianElement) -> None:
+    def check(self, x) -> None:
+        """Raises BackendError unless x is an element of this group."""
+        if not isinstance(x, FreeAbelianElement):
+            raise BackendError(f"expected a FreeAbelianElement, got {type(x).__name__}")
         if len(x.coords) != self.d:
             raise BackendError("dimension mismatch")
 
@@ -152,12 +157,12 @@ class ModVectorBackend(GroupBackend):
         return ModVectorElement(self.p, coords)
 
     def multiply(self, x: ModVectorElement, y: ModVectorElement) -> ModVectorElement:
-        self._check(x)
-        self._check(y)
+        self.check(x)
+        self.check(y)
         return ModVectorElement(self.p, tuple(a + b for a, b in zip(x.coords, y.coords)))
 
     def invert(self, x: ModVectorElement) -> ModVectorElement:
-        self._check(x)
+        self.check(x)
         return ModVectorElement(self.p, tuple(-a for a in x.coords))
 
     def equals(self, x: ModVectorElement, y: ModVectorElement) -> bool:
@@ -172,7 +177,10 @@ class ModVectorBackend(GroupBackend):
     def size(self) -> int:
         return self.p ** self.d
 
-    def _check(self, x: ModVectorElement) -> None:
+    def check(self, x) -> None:
+        """Raises BackendError unless x is an element of this group."""
+        if not isinstance(x, ModVectorElement):
+            raise BackendError(f"expected a ModVectorElement, got {type(x).__name__}")
         if x.p != self.p:
             raise BackendError(f"mixed moduli: {x.p} vs {self.p}")
         if len(x.coords) != self.d:

@@ -3,10 +3,10 @@
 Two independent routes. The brute-force route enumerates every ordered
 subset product g_1^e1 ... g_k^ek (e in {0,1}^k) as a permutation of one
 tree level, composed from the generators' permutations; products whose
-fingerprints meet are settled pairwise by exact word equality, so the
-answer is exact. The support route never enumerates: disjoint singleton
-supports of nontrivial elements force all subset products apart. The two
-must agree wherever both apply.
+fingerprints meet are settled by their exact portrait keys
+(words.Portraits), so the answer is exact. The support route never
+enumerates: disjoint singleton supports of nontrivial elements force all
+subset products apart. The two must agree wherever both apply.
 
 The certificate verifier runs the brute-force route for k <= 16 and
 proves the support condition by transport instead of computing it, so
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
-from .words import LETTERS, TreeWord, WordError, identity, level_strings
+from .words import LETTERS, Portraits, TreeWord, WordError, identity, level_strings
 
 BRUTE_FORCE_CAP = 16
 _BLOCK = 1 << 18  # entries of product permutations formed at once
@@ -46,8 +45,8 @@ def _fingerprint(rows: np.ndarray) -> np.ndarray:
 
 def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7) -> bool:
     """True iff all 2^k subset products are distinct, told apart by their
-    permutation of level `fingerprint_level` (0..16) or as words. The
-    elements must share omega and offset."""
+    permutation of level `fingerprint_level` (0..16) or by their portrait
+    keys. The elements must share omega and offset."""
     k = len(elements)
     if k > BRUTE_FORCE_CAP:
         raise CubeError(f"k={k} above brute-force cap {BRUTE_FORCE_CAP}; use support criterion")
@@ -80,16 +79,18 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
             block = np.take(left[i:i + step_l], right[j:j + step_r], axis=1)
             prints[i:i + step_l, j:j + step_r] = _fingerprint(block.reshape(-1, n)).reshape(block.shape[:2])
 
-    # Only runs of equal prints are settled, pairwise and exactly.
+    # Only runs of equal prints are settled, each in one pass over exact
+    # keys: the products share an offset, so equal keys mean equal elements.
     prints = prints.ravel()
     order = np.argsort(prints)
     ranked = prints[order]
     starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
     sizes = np.diff(starts, append=len(ranked))
+    portraits = Portraits(omega)
     for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         group = order[start:start + size].tolist()
         words = [_subset_product(elements, r // len(right) | r % len(right) << k // 2) for r in group]
-        if any(u.equals(v) for u, v in combinations(words, 2)):
+        if len({portraits.key(w) for w in words}) < size:
             return False
     return True
 

@@ -3,12 +3,13 @@
 Vertices are generating n-tuples; the moves R(i,j,s): g_j <- g_j * g_i^s
 and L(i,j,s): g_j <- g_i^s * g_j give a 4n(n-1)-regular symmetric
 multigraph. Balls and the random walks' distance maps run on one array
-frontier search (`_frontier`): a tuple is one packed int64 key, over
-rows of coordinates for Z^d and Z_p^d and of interned element ids for
-every other backend. When the tuples outgrow the packing, the per-object
-breadth-first loop (`bfs_layers`, deduplicating through the backends'
-exact canonical keys) redoes the work; it also serves DOT dumps and is
-the tests' oracle. Censuses over Z_p^d run on int64 index arrays.
+frontier search (`_frontier`): a tuple is one packed key, over rows of
+coordinates for Z^d and Z_p^d and of interned element ids for every
+other backend. Keys are int64 while they fit and Python ints beyond, so
+tuples of any size or coordinate size stay on the one search. The
+per-object breadth-first loop (`bfs_layers`, deduplicating through the
+backends' exact canonical keys) serves DOT dumps and is the tests'
+oracle. Censuses over Z_p^d run on int64 index arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .backends import (
-    FreeAbelianBackend,
-    FreeAbelianElement,
-    GroupBackend,
-    ModVectorBackend,
-    ModVectorElement,
-)
+from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend
 
 
 class PrpError(ValueError):
@@ -179,115 +174,86 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
     A layer is kept iff the ball including it has at most `budget`
     vertices; otherwise the table stops at the previous layer and is
     flagged truncated. The array frontier (`_frontier`) computes the
-    layers; when the tuples outgrow its int64 keys, the generic loop
-    (`bfs_layers`) redoes the whole ball.
+    layers.
     """
     if radius < 0 or budget < 1:
         raise PrpError(f"need radius >= 0 and budget >= 1, got radius {radius} and budget {budget}")
-    table = _ball_array(backend, start, radius, budget)
-    return table if table is not None else _ball_generic(backend, start, radius, budget)
-
-
-def _ball_array(backend: GroupBackend, start: tuple, radius: int, budget: int) -> BallTable | None:
-    """The ball table from the array frontier; None hands over to the generic loop."""
-    try:
-        sizes = [len(keys) for keys, _ in _frontier(_rows_for(backend, start), radius, budget)]
-    except _HandOver:
-        return None
-    return _table(start, sizes, radius)
-
-
-def _ball_generic(backend: GroupBackend, start: tuple, radius: int, budget: int) -> BallTable:
-    """The ball table from bfs_layers, over any backend; the array path's oracle."""
-    return _table(start, [len(layer) for layer in bfs_layers(backend, start, radius, budget)], radius)
-
-
-def _table(start: tuple, sizes: list[int], radius: int) -> BallTable:
-    """The ball table of the layer sizes a BFS yielded (see bfs_layers)."""
     table = BallTable(origin=start, degree=len(moves_for(len(start))))
     count = 0
-    for r, size in enumerate(sizes):
-        count += size
+    for r, (keys, _) in enumerate(_frontier(_rows_for(backend, start), radius, budget)):
+        count += len(keys)
         table.rows.append((r, count))
-        if not size:
+        if not len(keys):
             # saturated: every larger ball equals the component, exactly
             table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
     table.truncated = table.complete_radius < radius
     return table
 
 
-class _HandOver(Exception):
-    """The tuples outgrew the int64 packing; the object loop takes over."""
-
-
 class _Packing:
-    """Rows of n entries of d digits with 0 <= digit + offset < base, as int64 keys.
+    """Rows of n entries of d digits with 0 <= digit + offset < base, as keys.
 
     A key reads a row's digits in base `base`, most significant first, so
-    key order is lexicographic row order. Raises _HandOver when the
-    largest key would not fit in an int64.
+    key order is lexicographic row order. Keys, weights and unpacked rows
+    are int64 while the largest key fits, base**(n*d) <= 2**63, and
+    Python ints in object arrays above that, so no key ever wraps.
     """
 
     def __init__(self, base: int, offset: int, n: int, d: int):
-        if base ** (n * d) > 2**63:
-            raise _HandOver
         self.base, self.offset, self.n, self.d = base, offset, n, d
+        self.dtype = np.int64 if base ** (n * d) <= 2**63 else object
         exponents = range(n * d - 1, -1, -1)
-        self.weights = np.array([base**e for e in exponents], dtype=np.int64).reshape(n, d)
+        self.weights = np.array([base**e for e in exponents], dtype=self.dtype).reshape(n, d)
 
     def fits(self, values: np.ndarray) -> np.ndarray:
         """Elementwise: whether each digit is representable."""
-        shifted = values + self.offset
+        shifted = values.astype(np.result_type(values, self.weights), copy=False) + self.offset
         return (shifted >= 0) & (shifted < self.base)
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
-        return (rows + self.offset).reshape(len(rows), self.n * self.d) @ self.weights.ravel()
+        """The keys of rows whose digits all fit, in this packing's dtype."""
+        shifted = rows.astype(self.dtype, copy=False) + self.offset
+        return shifted.reshape(len(rows), self.n * self.d) @ self.weights.ravel()
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        out = np.empty((len(keys), self.n * self.d), dtype=np.int64)
+        # // and %: np.divmod has no loop for object arrays.
+        out = np.empty((len(keys), self.n * self.d), dtype=self.dtype)
         for q in range(self.n * self.d - 1, 0, -1):
-            keys, out[:, q] = np.divmod(keys, self.base)
-        out[:, :1] = keys[:, None]  # the leading digit; base may be 2^63
+            out[:, q] = keys % self.base
+            keys = keys // self.base
+        out[:, :1] = keys[:, None]  # the leading digit
         return (out - self.offset).reshape(len(out), self.n, self.d)
 
 
-def _abelian_layout(backend: GroupBackend, start: tuple) -> tuple[int, int] | None:
-    """(p, d) when coordinate rows can hold the tuple, p = 0 meaning Z^d.
-
-    None for other backends and for entries the backend's own arithmetic
-    would reject (wrong type, dimension or modulus); the generic loop
-    raises the backend's error for those.
-    """
-    if isinstance(backend, ModVectorBackend):
-        p, kind = backend.p, ModVectorElement
-    elif isinstance(backend, FreeAbelianBackend):
-        p, kind = 0, FreeAbelianElement
-    else:
-        return None
-    for e in start:
-        if type(e) is not kind or len(e.coords) != backend.d:
-            return None
-        if p and e.p != p:
-            return None
-    return p, backend.d
+def _move_table(moves: list[NielsenMove], n: int) -> np.ndarray:
+    """The moves on n-tuples as a (3, len(moves)) int64 array over a row
+    extended by its inverses, (g_1, ..., g_n, g_1^-1, ..., g_n^-1): the
+    slot a move replaces, j - 1, then the slots of the left and the right
+    factor of its new entry."""
+    table = []
+    for m in moves:
+        i = m.i - 1 + (n if m.sign < 0 else 0)
+        table.append((m.j - 1, m.j - 1, i) if m.kind == "R" else (m.j - 1, i, m.j - 1))
+    return np.array(table, dtype=np.int64).reshape(len(moves), 3).T
 
 
 class _CoordinateRows:
-    """Z^d (p = 0) and Z_p^d tuples as (N, n, d) int64 rows of coordinates.
+    """Z^d (p = 0) and Z_p^d tuples as (N, n, d) rows of coordinates.
 
     In an abelian group R(i,j,s) and L(i,j,s) give the same tuple, so the
     frontier expands the 2n(n-1) R moves, g_j += s * g_i, for all 4n(n-1).
     Residues pack in base p. Integer coordinates are bounded, before each
     layer, by twice the largest one held, and pack with that offset, so no
-    neighbour can leave the packing and nothing ever wraps.
+    neighbour can leave the packing. Rows take their packing's dtype: an
+    int64 packing has base <= 2^63, so its coordinates and their images
+    stay below 2^62, and a wider one holds Python ints; nothing wraps.
     """
 
     def __init__(self, p: int, d: int, start: tuple):
         self.p, self.n, self.d = p, len(start), d
-        self.moves = [move for move in moves_for(self.n) if move.kind == "R"]
+        self.moves = _move_table([move for move in moves_for(self.n) if move.kind == "R"], self.n)
         self.held = max((abs(c) for e in start for c in e.coords), default=0)
-        self._packing(self.held)  # the start itself may not fit in int64
-        self.start = self.encode(start)[None]
+        self.start = self.encode(start, self._packing(self.held).dtype)[None]
 
     def encode(self, entries: tuple, dtype=np.int64) -> np.ndarray:
         return np.array([e.coords for e in entries], dtype=dtype).reshape(len(entries), self.d)
@@ -309,8 +275,12 @@ class _CoordinateRows:
             return self.start
         return self.start.astype(object)
 
-    def image(self, move: NielsenMove, entries: np.ndarray) -> np.ndarray:
-        new = entries[:, move.j - 1] + move.sign * entries[:, move.i - 1]
+    def images(self, columns: np.ndarray, left, right) -> np.ndarray:
+        """New entries g_j from rows given slot by slot, as (n, N, d): the
+        sums of the slots `left` and `right` of the rows extended by their
+        inverses (see _move_table), each a numpy index into (2n, N, d)."""
+        both = np.concatenate([columns, -columns])
+        new = both[left] + both[right]
         return new % self.p if self.p else new
 
 
@@ -322,12 +292,12 @@ class _IdRows:
     array of (x, y) pair codes with the id of x * y, both lazily: only the
     pairs a batch of rows is missing are computed, once each, with
     backend.multiply. The products' memory follows the pairs used, not E^2.
-    Ids pack in base 2^floor(63/n); a tuple holding a larger id does not fit.
+    A layer's ids pack in base E, counted once its products are interned.
     """
 
     def __init__(self, backend: GroupBackend, start: tuple):
         self.backend, self.n, self.d = backend, len(start), 1
-        self.moves = moves_for(self.n)
+        self.moves = _move_table(moves_for(self.n), self.n)
         self._ids: dict = {}
         self._elements: list = []
         self._inverses = np.full(0, -1, dtype=np.int64)
@@ -335,24 +305,37 @@ class _IdRows:
         # that searchsorted stays in range, and the id of x * y per code.
         self._pairs = np.array([2**63 - 1], dtype=np.int64)
         self._products = np.array([-1], dtype=np.int64)
-        self._packed = _Packing(1 << 63 // max(1, self.n), 0, self.n, 1)
         self.start = self.encode(start)[None]
 
     def encode(self, entries: tuple, dtype=np.int64) -> np.ndarray:
         return np.array([self._intern(e) for e in entries], dtype=dtype).reshape(len(entries), 1)
 
     def packing(self, frontier: np.ndarray, previous: np.ndarray) -> _Packing:
-        return self._packed
+        """Base E once every product the frontier's moves need is interned,
+        so that no neighbour's id leaves the packing. A move multiplies
+        x = g_j by y = g_i or its inverse, on either side, so the products
+        come from the distinct (x, y) the rows hold, in one batch."""
+        i, j = np.nonzero(~np.eye(self.n, dtype=bool))
+        step = max(1, _CHUNK_KEYS // max(1, len(i)))
+        pairs = [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, len(frontier), step):
+            ids = frontier[lo : lo + step, :, 0].astype(np.int64, copy=False)
+            pairs.append(_unique([(ids[:, j] << 32 | ids[:, i]).ravel()]))
+        pairs = _unique(pairs)
+        x, y = pairs >> 32, pairs & 0xFFFFFFFF
+        z = self._inverse(y)
+        self._product(np.concatenate([x, x, y, z]), np.concatenate([y, z, x, x]))
+        return _Packing(len(self._elements), 0, self.n, 1)
 
     def walk_start(self, steps: int) -> np.ndarray:
         return self.start
 
-    def image(self, move: NielsenMove, entries: np.ndarray) -> np.ndarray:
-        x, y = entries[:, move.j - 1, 0], entries[:, move.i - 1, 0]
-        if move.sign < 0:
-            y = self._inverse(y)
-        new = self._product(x, y) if move.kind == "R" else self._product(y, x)
-        return new[:, None]
+    def images(self, columns: np.ndarray, left, right) -> np.ndarray:
+        """New entries g_j, the products of the slots `left` and `right`, as
+        _CoordinateRows.images."""
+        ids = columns[:, :, 0].astype(np.int64, copy=False)  # wide layers unpack ids as objects
+        both = np.concatenate([ids, self._inverse(ids)])
+        return self._product(both[left], both[right])[..., None]
 
     def _intern(self, element) -> int:
         key = self.backend.canonical_key(element)
@@ -389,18 +372,18 @@ class _IdRows:
 
 def _rows_for(backend: GroupBackend, start: tuple):
     """Array rows for the tuple: coordinates over Z^d and Z_p^d, interned ids
-    over other backends. Raises _HandOver for abelian entries the backend
-    would reject, so the generic loop reports the backend's error."""
-    layout = _abelian_layout(backend, start)
-    if layout is not None:
-        return _CoordinateRows(*layout, start)
+    over other backends. Raises BackendError for abelian entries of another
+    type, modulus or dimension, as the backend's own arithmetic would."""
     if isinstance(backend, (FreeAbelianBackend, ModVectorBackend)):
-        raise _HandOver
+        for e in start:
+            backend.check(e)
+        p = backend.p if isinstance(backend, ModVectorBackend) else 0
+        return _CoordinateRows(p, backend.d, start)
     return _IdRows(backend, start)
 
 
 # Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
-_CHUNK_KEYS = 1 << 18
+_CHUNK_KEYS = 1 << 16
 
 
 def _unique(parts: list[np.ndarray]) -> np.ndarray:
@@ -424,44 +407,45 @@ def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Packing]]:
-    """The BFS layers of bfs_layers, as (sorted int64 keys, packing) pairs.
+    """The BFS layers of bfs_layers, as (sorted keys, packing) pairs.
 
     Yields layer 0, then each kept layer, under bfs_layers' rules for the
     budget and for an exhausted component. The move graph is symmetric,
     so a neighbour of layer r-1 lies in layer r-2, r-1 or r: deduplicating
     against the two previous layers finds layer r exactly, and about three
-    layers are held. The frontier is expanded in chunks; a layer's new
-    keys are merged whenever the unmerged ones outnumber half the merged,
-    which bounds the memory of a layer by a small multiple of its size,
-    and the layer is abandoned as soon as the merged ones exceed the
-    budget. Raises _HandOver when a neighbour does not fit the packing,
-    before its key could alias another tuple's.
+    layers are held. The frontier is expanded in chunks, every move of a
+    chunk at once; a layer's new keys are merged whenever the unmerged
+    ones outnumber half the merged, which bounds the memory of a layer by
+    a small multiple of its size, and the layer is abandoned as soon as
+    the merged ones exceed the budget.
+
+    Keys never alias, because each layer's packing, chosen before the
+    layer is expanded, represents every neighbour: a move adds +-g_i to
+    g_j, so no coordinate exceeds twice the largest one held, which is the
+    offset; and ids are below the interned count, the base, once
+    rows.packing has interned the layer's products.
     """
     packing = rows.packing(rows.start, rows.start)
-    if not packing.fits(rows.start).all():
-        raise _HandOver
     keys = packing.pack(rows.start)
     yield keys, packing
     previous = rows.start[:0]
-    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(rows.moves)))
+    j, left, right = rows.moves
+    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(j)))
     count = 1
     for _ in range(radius):
         frontier = packing.unpack(keys)
         packing = rows.packing(frontier, previous)
+        frontier = frontier.astype(packing.dtype, copy=False)
         frontier_keys = packing.pack(frontier)
         seen = _unique([frontier_keys, packing.pack(previous)])
-        parts = [keys[:0]]  # the merged new keys, then the unmerged ones
+        parts = [frontier_keys[:0]]  # the merged new keys, then the unmerged ones
         for lo in range(0, len(frontier), rows_per_chunk):
-            entries = frontier[lo : lo + rows_per_chunk]
-            chunk_keys = frontier_keys[lo : lo + rows_per_chunk]
-            neighbours = [chunk_keys[:0]]  # n < 2 has no moves
-            for move in rows.moves:
-                new = rows.image(move, entries)
-                if not packing.fits(new).all():
-                    raise _HandOver
-                old = entries[:, move.j - 1]
-                neighbours.append(chunk_keys + (new - old) @ packing.weights[move.j - 1])
-            reached = _unique(neighbours)
+            # Slot by slot, so that each move gathers whole slots.
+            columns = np.ascontiguousarray(np.swapaxes(frontier[lo : lo + rows_per_chunk], 0, 1))
+            new = rows.images(columns, left, right)  # (moves, rows, d)
+            change = np.einsum("kNd,kd->kN", new - columns[j], packing.weights[j])
+            neighbours = frontier_keys[lo : lo + rows_per_chunk] + change
+            reached = _unique([neighbours.ravel()])
             parts.append(reached[~_member(reached, seen)])
             if sum(map(len, parts[1:])) > max(len(parts[0]) // 2, _CHUNK_KEYS):
                 parts = [_unique(parts)]

@@ -8,8 +8,7 @@ in a layer's packing, are censored as "> R" rather than estimated.
 Per-trial generators are derived from the master seed by hashing, so
 each trial's result depends only on the seed and its index. A block of
 trials steps together on the frontier's rows (element ids or
-coordinates), one move index per trial and step; when the ball outgrows
-the int64 keys, the walks step on element tuples instead.
+coordinates), one move index per trial and step.
 """
 
 from __future__ import annotations
@@ -23,17 +22,10 @@ from typing import Iterator
 import numpy as np
 
 from .backends import GroupBackend
-from .prp import (
-    NielsenMove,
-    _frontier,
-    _HandOver,
-    _member,
-    _rows_for,
-    apply_move,
-    bfs_layers,
-    moves_for,
-    tuple_key,
-)
+from .prp import NielsenMove, _frontier, _member, _move_table, _rows_for, moves_for
+
+# perfbench/selftest.py checks that its tracer wraps these names here too.
+from .prp import apply_move, tuple_key  # noqa: F401
 
 
 @dataclass
@@ -105,10 +97,10 @@ class _ArrayDistances:
     def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
         """Distances of the walks that take moves[draws[t, s]] at step s."""
         ends = np.repeat(self.rows.walk_start(draws.shape[1]), len(draws), axis=0)
+        table, at = _move_table(moves, ends.shape[1]), np.arange(len(ends))
         for choice in draws.T:
-            for k in np.flatnonzero(np.bincount(choice, minlength=len(moves))).tolist():
-                at = np.flatnonzero(choice == k)
-                ends[at, moves[k].j - 1] = self.rows.image(moves[k], ends[at])
+            j, left, right = table[:, choice]
+            ends[at, j] = self.rows.images(np.swapaxes(ends, 0, 1), (left, at), (right, at))
         return self._distances(ends)
 
     def _distances(self, ends: np.ndarray) -> list[int | None]:
@@ -116,50 +108,24 @@ class _ArrayDistances:
         for r, (keys, packing) in enumerate(self.layers):
             fit = packing.fits(ends).reshape(len(ends), -1).all(axis=1)
             at = np.flatnonzero(fit & (dist < 0))
-            hit = _member(packing.pack(ends[at].astype(np.int64)), keys)
+            hit = _member(packing.pack(ends[at]), keys)
             dist[at[hit]] = r
         return [None if d < 0 else d for d in dist.tolist()]
-
-
-class _ObjectDistances:
-    """Distances from bfs_layers, keyed by tuple_key; walks step on element tuples."""
-
-    def __init__(self, backend: GroupBackend, start: tuple, layers: list[list[tuple]]):
-        self.backend, self.start = backend, start
-        self.dist = {tuple_key(backend, t): r for r, layer in enumerate(layers) for t in layer}
-
-    def __call__(self, entries: tuple) -> int | None:
-        return self.dist.get(tuple_key(self.backend, entries))
-
-    def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
-        out = []
-        for trial in draws.tolist():
-            entries = self.start
-            for k in trial:
-                entries = apply_move(self.backend, entries, moves[k])
-            out.append(self(entries))
-        return out
 
 
 def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int):
     """BFS distances out to radius; returns (lookup, complete_radius, truncated).
 
     lookup.walk(moves, draws) walks and looks up the endpoints' distances
-    in one go, None for an endpoint outside the map. The map runs on the
-    array frontier (prp._frontier); when the tuples outgrow its int64
-    keys, bfs_layers and per-object walks take over. A layer is kept iff
-    the ball including it has at most `budget` vertices, the rule
-    `prp.ball` follows.
+    in one go, None for an endpoint outside the map. The map is the
+    array frontier's layers (prp._frontier). A layer is kept iff the
+    ball including it has at most `budget` vertices, the rule `prp.ball`
+    follows.
     """
-    try:
-        rows = _rows_for(backend, start)
-        layers = list(_frontier(rows, radius, budget))
-        lookup, last = _ArrayDistances(rows, layers), layers[-1][0]
-    except _HandOver:
-        layers = list(bfs_layers(backend, start, radius, budget))
-        lookup, last = _ObjectDistances(backend, start, layers), layers[-1]
+    rows = _rows_for(backend, start)
+    layers = list(_frontier(rows, radius, budget))
     complete = len(layers) - 1
-    return lookup, complete, complete < radius and len(last) > 0
+    return _ArrayDistances(rows, layers), complete, complete < radius and len(layers[-1][0]) > 0
 
 
 def rw_speed(

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from prplab import prp
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
+from prplab.prp import BallTable, bfs_layers, moves_for
 from prplab.schreier import SchreierError, SpanningWalk, walk_elements
 from prplab.words import TreeWord, reduce_letters
 
@@ -30,6 +32,20 @@ def random_word(rng: random.Random, omega: OmegaSequence, max_len: int = 40, off
 def mod_elements(backend) -> list:
     """Every element of a ModVectorBackend, in itertools.product order."""
     return [backend.element(c) for c in itertools.product(range(backend.p), repeat=backend.d)]
+
+
+def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:
+    """The ball table from prp.bfs_layers, one element tuple at a time:
+    the oracle of prp.ball's array frontier."""
+    table = BallTable(origin=start, degree=len(moves_for(len(start))))
+    count = 0
+    for r, layer in enumerate(bfs_layers(backend, start, radius, budget)):
+        count += len(layer)
+        table.rows.append((r, count))
+        if not layer:  # saturated
+            table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
+    table.truncated = table.complete_radius < radius
+    return table
 
 
 def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk) -> list[TreeWord]:
@@ -76,3 +92,14 @@ def rng() -> random.Random:
 @pytest.fixture
 def classical() -> OmegaSequence:
     return CLASSICAL_OMEGA
+
+
+@pytest.fixture
+def frontier_only(monkeypatch):
+    """prp.bfs_layers refuses to run, so balls and walks must come from the
+    array frontier. The oracles keep the loop: they bind it at import."""
+
+    def refuse(*args):
+        raise AssertionError("the object loop ran")
+
+    monkeypatch.setattr(prp, "bfs_layers", refuse)

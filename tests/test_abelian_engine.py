@@ -1,22 +1,30 @@
 """Differential tests: the numpy abelian engine against the per-element loops.
 
-`ball` runs Z^d and Z_p^d tuples on the array frontier over int64
-coordinate rows; the oracle is the generic BFS over element objects
-(`prp._ball_generic`).
+`ball` runs Z^d and Z_p^d tuples on the array frontier over coordinate
+rows, int64 while the keys fit and Python ints beyond; the oracle is the
+generic BFS over element objects (`conftest.ball_generic`).
 `components_finite` labels Z_p^d tuples by index arithmetic; the oracle
 is the union-find census over `apply_move` kept below.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mod_elements
+from conftest import ball_generic, mod_elements
 from prplab import prp
-from prplab.backends import FreeAbelianBackend, ModVectorBackend
+from prplab.backends import (
+    BackendError,
+    FreeAbelianBackend,
+    FreeAbelianElement,
+    ModVectorBackend,
+    ModVectorElement,
+)
 from prplab.prp import apply_move, ball, components_finite, moves_for, tuple_key
+from prplab.randomwalk import rw_speed
 
 
 class UnionFind:
@@ -55,7 +63,7 @@ def census_oracle(backend, n: int) -> tuple[int, list[int]]:
 
 def assert_same_ball(backend, start, radius, budget):
     fast = ball(backend, start, radius, budget=budget)
-    slow = prp._ball_generic(backend, start, radius, budget)
+    slow = ball_generic(backend, start, radius, budget)
     assert (fast.rows, fast.truncated, fast.degree) == (slow.rows, slow.truncated, slow.degree)
     return fast
 
@@ -65,7 +73,9 @@ def free_abelian_balls(draw):
     d = draw(st.integers(1, 2))
     n = draw(st.integers(2, 3))
     backend = FreeAbelianBackend(d)
-    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    # 2^29 widens the keys of Z^1 pairs mid-run; 2^63 needs wide keys at once.
+    big = draw(st.sampled_from([3, 2**29, 2**63]))
+    coords = st.lists(st.integers(-big, big), min_size=d, max_size=d)
     start = tuple(backend.element(draw(coords)) for _ in range(n))
     return backend, start
 
@@ -101,35 +111,40 @@ def test_mod_vector_ball_matches_generic(case, radius, budget):
     assert_same_ball(backend, start, radius, budget)
 
 
-def test_numpy_path_taken_for_abelian_backends():
+def key_dtypes(backend, start, radius):
+    return [packing.dtype for _, packing in prp._frontier(prp._rows_for(backend, start), radius, 10**6)]
+
+
+def test_numpy_path_taken_for_abelian_backends(frontier_only):
     z2 = FreeAbelianBackend(2)
     start = (z2.element((1, 0)), z2.element((0, 1)))
-    assert prp._ball_array(z2, start, 4, 10_000) is not None
+    assert_same_ball(z2, start, 4, 10_000)
     z5 = ModVectorBackend(5, 2)
     start = (z5.element((1, 0)), z5.element((0, 1)))
-    assert prp._ball_array(z5, start, 4, 10_000) is not None
+    assert_same_ball(z5, start, 4, 10_000)
 
 
 @pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**62 + 1, 2**70, -(2**70)])
-def test_overflow_guard_hands_over_at_the_start(big):
+def test_overflow_guard_hands_over_at_the_start(big, frontier_only):
+    # A coordinate from 2^62 - 1 up needs an offset of 2^63 - 2: the keys
+    # are Python ints from layer 0 on.
     z1 = FreeAbelianBackend(1)
     start = (z1.element((big,)), z1.element((1,)))
-    assert prp._ball_array(z1, start, 3, 10_000) is None
+    assert key_dtypes(z1, start, 3) == [object] * 4
     assert_same_ball(z1, start, 3, 10_000)
     z2 = FreeAbelianBackend(2)
     start = (z2.element((big, 0)), z2.element((0, 1)), z2.element((1, 1)))
     assert_same_ball(z2, start, 2, 10_000)
 
 
-def test_overflow_guard_hands_over_mid_run():
-    # Base 2 * 2**30 + 1 keys two coordinates within int64 at layer 1; the
-    # coordinates then double, and layer 2's keys would not fit.
+def test_overflow_guard_hands_over_mid_run(frontier_only):
+    # Base about 2^31 keys two coordinates within int64 up to layer 2; the
+    # coordinates then double, and layer 3's keys are Python ints.
     z1 = FreeAbelianBackend(1)
     start = (z1.element((2**29,)), z1.element((1,)))
-    assert prp._ball_array(z1, start, 1, 10_000) is not None
-    assert prp._ball_array(z1, start, 3, 10_000) is None
+    assert key_dtypes(z1, start, 3) == [np.int64] * 3 + [object]
     assert_same_ball(z1, start, 1, 10_000)
-    assert_same_ball(z1, start, 3, 10_000)
+    assert_same_ball(z1, start, 12, 10_000)
 
 
 @pytest.mark.parametrize(
@@ -156,14 +171,31 @@ def test_saturating_mod_vector_ball():
 
 def test_mod_vector_elements_are_reduced_on_construction():
     z3 = ModVectorBackend(3, 1)
-    four = prp.ModVectorElement(3, (4,))
+    four = ModVectorElement(3, (4,))
     assert z3.canonical_key(four) == z3.canonical_key(z3.element((1,)))
     assert z3.equals(four, z3.element((1,)))
     # (4) is the vertex (1): the same ball as from ((1), (1)), on both paths
     start = (four, z3.element((1,)))
-    assert prp._abelian_layout(z3, start) == (3, 1)
+    assert prp._rows_for(z3, start).start.tolist() == [[[1], [1]]]
     table = assert_same_ball(z3, start, 3, 10_000)
     assert [c for _, c in table.rows] == [1, 5, 8, 8]
+
+
+@pytest.mark.parametrize("backend, entry", [
+    (ModVectorBackend(5, 1), ModVectorElement(3, (1,))),
+    (ModVectorBackend(5, 1), ModVectorElement(5, (1, 0))),
+    (FreeAbelianBackend(1), FreeAbelianElement((1, 0))),
+    (ModVectorBackend(5, 1), FreeAbelianElement((1,))),
+    (FreeAbelianBackend(1), ModVectorElement(5, (1,))),
+], ids=["modulus", "mod-dimension", "free-dimension", "free-in-mod", "mod-in-free"])
+def test_foreign_abelian_entries_are_refused(backend, entry):
+    # Refused before any move, at radius 0 too, with the backend's error.
+    start = (entry, backend.element((1,)))
+    for radius in (0, 2):
+        with pytest.raises(BackendError):
+            ball(backend, start, radius)
+        with pytest.raises(BackendError):
+            rw_speed(backend, start, steps=1, trials=1, radius=radius, seed=0)
 
 
 def small_mod_vector_cases(cap: int):

@@ -175,6 +175,20 @@ def test_one_hash_bucket_keeps_every_verdict(monkeypatch, letters, expected):
     assert check_cubic_bruteforce(family) is expected
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_shallow_prints_are_settled_by_keys(monkeypatch, level):
+    # Levels 0 to 5 print all 256 products of the m = 3 family alike; the
+    # run is settled by portrait keys, with no pairwise word comparison.
+    family = family_at_level(3)
+    want = bruteforce_oracle(family)  # level 7 tells the products apart
+
+    def refuse(self, other):
+        raise AssertionError("pairwise equals call")
+
+    monkeypatch.setattr(TreeWord, "equals", refuse)
+    assert check_cubic_bruteforce(family, level) is want is True
+
+
 class TestBySupport:
     @pytest.mark.parametrize("m", range(0, 4))
     def test_agreement_with_bruteforce_on_families(self, m):

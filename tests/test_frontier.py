@@ -1,10 +1,11 @@
 """Differential tests: the array frontier engine against the object loops.
 
 `prp.ball` and `randomwalk.rw_speed` run on `prp._frontier`, over rows of
-interned element ids for tree groups and of coordinates for Z^d and Z_p^d.
-The oracles are `prp.bfs_layers` for the layers and the object-level walk
-below (the per-trial walk over element tuples that keyed each endpoint
-with `tuple_key`) for the walks.
+interned element ids for tree groups and of coordinates for Z^d and Z_p^d,
+with int64 keys while they fit and Python ints beyond. The oracles are
+`prp.bfs_layers` for the layers (`conftest.ball_generic` for the tables)
+and the object-level walk below (the per-trial walk over element tuples
+that keyed each endpoint with `tuple_key`) for the walks.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ball_generic
 from prplab import prp
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
@@ -68,20 +70,21 @@ def oracle_layers(backend, start, radius, budget):
 
 
 @st.composite
-def tree_tuples(draw, max_size=5):
+def tree_tuples(draw):
     omega = draw(st.sampled_from(OMEGAS))
     backend = BACKENDS[omega]
-    size = draw(st.integers(1, max_size))
+    # Up to 16 slots, where ids outgrow int64 keys.
+    size = draw(st.integers(1, 5) | st.integers(6, 16))
     generators = draw(st.booleans())
     if generators:  # the paper's tuples: a, b, c, d padded with identities
-        letters = ["a", "b", "c", "d", "", ""][:size]
+        letters = (["a", "b", "c", "d"] + [""] * 12)[:size]
     else:
         letters = draw(st.lists(st.text(alphabet="abcd", max_size=4), min_size=size, max_size=size))
     return backend, tuple(word(omega, w) for w in letters)
 
 
 # Radii by tuple size keep the complete oracle balls to a few thousand tuples.
-MAX_RADIUS = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}
+MAX_RADIUS = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2, **{n: 1 for n in range(6, 17)}}
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +95,7 @@ def test_tree_layers_match_bfs_layers(case, radius, budget):
     want = oracle_layers(backend, start, radius, budget)
     assert frontier_layers(backend, start, radius, budget) == want
     table = ball(backend, start, radius, budget=budget)
-    slow = prp._ball_generic(backend, start, radius, budget)
+    slow = ball_generic(backend, start, radius, budget)
     assert (table.rows, table.truncated, table.degree) == (slow.rows, slow.truncated, slow.degree)
 
 
@@ -113,7 +116,9 @@ def abelian_tuples(draw):
     d = draw(st.integers(1, 2))
     n = draw(st.integers(2, 3))
     backend = ModVectorBackend(p, d) if p else FreeAbelianBackend(d)
-    big = draw(st.sampled_from([3, 2**40]))  # 2^40 makes long walks leave int64
+    # 2^29 widens the keys of Z^1 pairs mid-run, 2^40 makes long walks
+    # leave int64, and 2^63 needs wide keys from the start.
+    big = draw(st.sampled_from([3, 2**29, 2**40, 2**63]))
     coords = st.lists(st.integers(-big, big), min_size=d, max_size=d)
     return backend, tuple(backend.element(draw(coords)) for _ in range(n))
 
@@ -139,14 +144,14 @@ def test_row_images_match_apply_move(case):
     # Every move on a row gives the row of apply_move's tuple: R and L
     # differ on tree tuples, and inverses enter with the sign.
     backend, start = case
-    try:
-        rows = prp._rows_for(backend, start)
-    except prp._HandOver:  # coordinates too large to pack: the object loop's case
-        return
+    rows = prp._rows_for(backend, start)
     row = rows.walk_start(0)
-    for move in moves_for(len(start)):
+    moves = moves_for(len(start))
+    _, left, right = prp._move_table(moves, len(start))
+    new = rows.images(np.swapaxes(row, 0, 1), left, right)
+    for k, move in enumerate(moves):
         got = row.copy()
-        got[:, move.j - 1] = rows.image(move, row)
+        got[:, move.j - 1] = new[k]
         want = tuple_key(backend, apply_move(backend, start, move))
         assert decode(backend, rows, got[0]) == want
 
@@ -160,53 +165,50 @@ def test_coordinate_walks_keep_exact_integers():
     ends, entries = rows.walk_start(100), start
     for step in range(100):
         move = prp.NielsenMove("R", 1, 1 + step % 2, 2 - step % 2)
-        ends[:, move.j - 1] = rows.image(move, ends)
+        _, left, right = prp._move_table([move], 2)
+        ends[:, move.j - 1] = rows.images(np.swapaxes(ends, 0, 1), left, right)[0]
         entries = apply_move(z1, entries, move)
     assert decode(z1, rows, ends[0]) == tuple_key(z1, entries)
     assert entries[0].coords[0] > 2**64
 
 
-def test_tree_balls_take_the_array_path(monkeypatch):
+def test_tree_balls_take_the_array_path(frontier_only):
     backend = BACKENDS[CLASSICAL_OMEGA]
     start = tuple(word(CLASSICAL_OMEGA, w) for w in ("a", "b", "c", "d", ""))
-
-    def refuse(*args):
-        raise AssertionError("the object loop ran")
-
-    monkeypatch.setattr(prp, "bfs_layers", refuse)
     assert [c for _, c in ball(backend, start, 3).rows] == [1, 23, 399, 6488]
     stats = rw_speed(backend, start, steps=3, trials=50, radius=2, seed=1)
     assert stats.censor_radius == 2
 
 
-def test_hand_over_when_ids_outgrow_the_packing():
-    # Sixteen slots pack ids in base 2^3 = 8; the radius-1 ball over
-    # (a, b, c, d, 1, ..., 1) holds 11 distinct elements.
+def test_hand_over_when_ids_outgrow_the_packing(frontier_only):
+    # Sixteen slots: the radius-1 ball over (a, b, c, d, 1, ..., 1) holds
+    # 11 distinct elements and 11^16 < 2^63, but layer 2 needs 23 and
+    # 23^16 > 2^63, so its keys hand over from int64 to Python ints.
     backend = BACKENDS[CLASSICAL_OMEGA]
     start = tuple(word(CLASSICAL_OMEGA, w) for w in "abcd") + (backend.identity,) * 12
-    assert prp._ball_array(backend, start, 0, 10**6) is not None
-    assert prp._ball_array(backend, start, 1, 10**6) is None
-    assert [c for _, c in ball(backend, start, 1).rows] == [1, 67]
-    assert type(_distance_map(backend, start, 1, 10**6)[0]).__name__ == "_ObjectDistances"
-    assert_same_walk(backend, start, 3, 40, 1, 5, 10**6)
+    layers = prp._frontier(prp._rows_for(backend, start), 2, 10**6)
+    assert [(p.base, p.dtype) for _, p in layers] == [(11, np.int64)] * 2 + [(23, object)]
+    assert [c for _, c in ball(backend, start, 2).rows] == [1, 67, 2665]
+    assert_same_walk(backend, start, 3, 40, 2, 5, 10**6)
 
 
-def test_walk_ids_beyond_the_packing_are_censored():
-    # The radius-0 ball fits base 8 (five ids); walks create more elements.
+def test_walk_ids_beyond_the_packing_are_censored(frontier_only):
+    # Layer 0 packs ids in base 11, the elements its neighbours hold;
+    # walks of two and three moves create more.
     backend = BACKENDS[CLASSICAL_OMEGA]
     start = tuple(word(CLASSICAL_OMEGA, w) for w in "abcd") + (backend.identity,) * 12
     stats = assert_same_walk(backend, start, 2, 200, 0, 3, 10**6)
     assert 0 < stats.exact_count < 200
     lookup = _distance_map(backend, start, 0, 10**6)[0]
+    keys, packing = lookup.layers[0]
     moves = moves_for(16)
     lookup.walk(moves, np.random.default_rng(0).integers(0, len(moves), size=(300, 3)))
-    assert len(lookup.rows._elements) > 8
+    assert len(lookup.rows._elements) > packing.base == 11
     # A row whose unchecked key equals the start's: slot 14 one lower,
-    # slot 15 one base higher.
+    # slot 15 one base higher, an id at or above the base.
     row = lookup.rows.start.copy()
     row[0, 14, 0] -= 1
-    row[0, 15, 0] += 8
-    keys, packing = lookup.layers[0]
+    row[0, 15, 0] += packing.base
     assert packing.pack(row)[0] == keys[0]
     assert lookup._distances(row) == [None]
     assert lookup._distances(lookup.rows.start) == [0]

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import ball_generic
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.prp import (
@@ -9,7 +10,6 @@ from prplab.prp import (
     NielsenMove,
     PrpError,
     apply_move,
-    _ball_generic,
     ball,
     ball_to_dot,
     components_finite,
@@ -189,10 +189,10 @@ class TestBall:
         # and the generic loop follow it.
         backend = ModVectorBackend(3, 2)
         S = (backend.element((1, 0)), backend.element((0, 1)))
-        for table in (ball(backend, S, 8, budget=24), _ball_generic(backend, S, 8, budget=24)):
+        for table in (ball(backend, S, 8, budget=24), ball_generic(backend, S, 8, budget=24)):
             assert not table.truncated
             assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)] + [(r, 24) for r in range(4, 9)]
-        for table in (ball(backend, S, 8, budget=23), _ball_generic(backend, S, 8, budget=23)):
+        for table in (ball(backend, S, 8, budget=23), ball_generic(backend, S, 8, budget=23)):
             assert table.truncated
             assert table.rows == [(0, 1), (1, 5), (2, 13), (3, 23)]
 
