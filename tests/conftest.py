@@ -1,14 +1,16 @@
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 from prplab import prp
+from prplab.backends import TreeBackend
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import BallTable, bfs_layers, moves_for
+from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers, moves_for
 from prplab.schreier import SchreierError, SpanningWalk, walk_elements
-from prplab.words import TreeWord, reduce_letters
+from prplab.words import TreeWord, identity, reduce_letters, word
 
 
 def random_omega(rng: random.Random, max_prefix: int = 3, max_cycle: int = 3) -> OmegaSequence:
@@ -57,6 +59,55 @@ def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk
     if not g.in_rist(walk.start):
         raise SchreierError(f"witness is not in the rigid stabilizer of {walk.start!r}")
     return [g.conjugate_by(h) for h in walk_elements(gens, walk.step_labels, g.omega)]
+
+
+def replay(cert, accumulate=frozenset()) -> Iterator[tuple[int, tuple]]:
+    """Replay a certificate's moves one prp.apply_move at a time, from its
+    base tuple padded with the identity.
+
+    Yields (moves applied, tuple) at each checkpoint, which must be
+    increasing move counts within the path, and once more after the last
+    move. After checkpoint i, for each i in accumulate, one extra move
+    R+(n+1),n multiplies the last base slot n by the spare slot n + 1.
+    A move out of range raises PrpError.
+    """
+    omega = cert.omega
+    backend = TreeBackend(omega)
+    entries = tuple(word(omega, w) for w in cert.base) + (identity(omega),)
+    extra = NielsenMove("R", 1, len(entries), len(entries) - 1)
+    done = extras = 0
+    for i, c in enumerate(cert.checkpoints):
+        for move in cert.moves[done:c]:
+            entries = apply_move(backend, entries, move)
+        done = c
+        yield done + extras, entries
+        if i in accumulate:
+            entries = apply_move(backend, entries, extra)
+            extras += 1
+    for move in cert.moves[done:]:
+        entries = apply_move(backend, entries, move)
+    yield len(cert.moves) + extras, entries
+
+
+def replay_failures(cert) -> list[str]:
+    """The checkpoint equalities a replay of the moves does not find: the
+    verifier's oracle. Replay accepts every path whose spare slot reaches
+    the conjugates h_i g h_i^-1 at the checkpoints, including paths the
+    verifier rejects because they differ from the derived one."""
+    omega = cert.omega
+    gens = tuple(word(omega, w) for w in cert.base)
+    g = word(omega, cert.witness)
+    conjugates = [g.conjugate_by(h) for h in walk_elements(gens, cert.step_labels, omega)]
+    marks = cert.checkpoints
+    if len(marks) != len(conjugates) or sorted(marks) != marks or not 0 <= marks[0] <= marks[-1] <= len(cert.moves):
+        return ["checkpoints are not one increasing move count per conjugate"]
+    try:
+        tuples = [entries for _, entries in replay(cert)]
+    except PrpError as exc:
+        return [f"replay failed: {exc}"]
+    return [f"checkpoint {i} mismatch after {c} moves"
+            for i, (c, entries, x) in enumerate(zip(marks, tuples, conjugates))
+            if not entries[-1].equals(x)]
 
 
 def replace_field(text: str, field: str, value: str, index: int) -> str:

@@ -2,10 +2,11 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate_mutations, replace_field
+from conftest import certificate_mutations, replace_field, replay, replay_failures
+from prplab.backends import TreeBackend
 from prplab.certificates import (
     CertificateError,
     build_certificate,
@@ -73,6 +74,31 @@ class TestVerify:
         cert.moves.pop(len(cert.moves) // 2)
         cert.checkpoints = [c if c <= len(cert.moves) else len(cert.moves) for c in cert.checkpoints]
         assert not verify_certificate(cert).ok
+        assert replay_failures(cert)
+
+    def test_swapped_conjugation_pair_replays_but_is_invalid(self):
+        # R -s i then L s i conjugates the spare slot just as L s i then
+        # R -s i does, so the replay finds every checkpoint; but the path is
+        # not the derived one, and nothing argues the growth claim for it.
+        cert = build_certificate(CLASSICAL_OMEGA, 2)
+        j = cert.checkpoints[0]
+        assert (cert.moves[j].kind, cert.moves[j + 1].kind) == ("L", "R")
+        cert.moves[j], cert.moves[j + 1] = cert.moves[j + 1], cert.moves[j]
+        assert replay_failures(cert) == []
+        result = verify_certificate(cert)
+        assert result.failures == ["moves before checkpoint 1 differ from the derived path"]
+
+    def test_moved_checkpoint_is_invalid(self):
+        cert = build_certificate(CLASSICAL_OMEGA, 2)
+        cert.checkpoints[1] += 2
+        assert verify_certificate(cert).failures == [
+            f"checkpoint 1 is {cert.checkpoints[1]}, derived {cert.checkpoints[1] - 2}"]
+        assert replay_failures(cert)
+
+    def test_moves_past_the_derived_path_are_invalid(self):
+        cert = build_certificate(CLASSICAL_OMEGA, 2)
+        cert.moves += cert.moves[-2:]
+        assert verify_certificate(cert).failures == ["2 moves past the end of the derived path"]
 
     def test_tamper_identity_witness(self):
         cert = build_certificate(CLASSICAL_OMEGA, 2)
@@ -252,3 +278,39 @@ def test_transport_verdict_agrees_with_support_oracle(case):
     assert support.supports == [{v} for v in cert.visits]
     if cert.k <= BRUTE_FORCE_CAP:
         assert check_cubic_bruteforce(family, fingerprint_level=max(7, cert.level + 4))
+    # derivation => replay: the path reaches every conjugate at its checkpoint
+    assert replay_failures(cert) == []
+
+
+# -- the growth claim through an accumulator slot ---------------------------
+
+
+def _accumulated_key(cert, eps, backend: TreeBackend) -> tuple:
+    """The key of the tuple reached by the path with R+5,4 (d <- d * spare)
+    inserted at each checkpoint i with eps_i = 1; checks its move count and
+    that slots a, b and c are unchanged."""
+    *_, (moves, entries) = replay(cert, accumulate={i for i, e in enumerate(eps) if e})
+    assert moves <= cert.path_length + cert.k
+    assert [w.letters for w in entries[:3]] == ["a", "b", "c"]
+    return tuple(backend.canonical_key(w) for w in entries)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("sequence", sorted(SEQUENCES))
+def test_accumulator_pins_distinct_tuples(sequence, m):
+    # The d slot collects d * prod c_i^eps_i; the 2^k tuples it gives are
+    # distinct, each within path_length + k moves of the padded base.
+    cert = parse_certificate(_certificate_text(sequence, m))
+    backend = TreeBackend(cert.omega)
+    keys = {_accumulated_key(cert, eps, backend) for eps in itertools.product((0, 1), repeat=cert.k)}
+    assert len(keys) == 2 ** cert.k
+
+
+@settings(max_examples=15, deadline=None)
+@given(_sequences, st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
+def test_accumulator_separates_drawn_tuples_at_m4(sequence, x, y):
+    assume(x != y)
+    cert = parse_certificate(_certificate_text(sequence, 4))
+    backend = TreeBackend(cert.omega)
+    eps = [[(v >> i) & 1 for i in range(cert.k)] for v in (x, y)]
+    assert _accumulated_key(cert, eps[0], backend) != _accumulated_key(cert, eps[1], backend)

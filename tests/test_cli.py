@@ -125,6 +125,23 @@ def test_cert_verify_rejects_tampered_alpha_and_checkpoints(capsys, tmp_path, fi
         assert "bound=0" in out.splitlines()
 
 
+@pytest.mark.parametrize("m, old, new, failure", [
+    # out of range for the 5-tuple: not the derived path, and no move is applied
+    (2, "R+1,5", "R+40,2", "failure=moves before checkpoint 0 differ from the derived path"),
+    # a hand-made base without b cannot spell the witness abad...
+    (1, "base: a b c d", "base: a ab c d",
+     "failure=base tuple ('a', 'ab', 'c', 'd') cannot spell letter 'b' into the spare slot"),
+])
+def test_cert_verify_underivable_path_is_invalid(capsys, tmp_path, m, old, new, failure):
+    path = tmp_path / "cert.txt"
+    run_cli(capsys, "cert", "build", "--m", str(m), "--out", str(path))
+    path.write_text(path.read_text().replace(old, new, 1))
+    code, out, err = run_cli(capsys, "cert", "verify", str(path))
+    assert code == 2 and err == ""
+    assert "status=INVALID" in out.splitlines()
+    assert failure in out.splitlines()
+
+
 @functools.cache
 def _m2_certificate() -> str:
     return serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))

@@ -31,6 +31,7 @@ ALLOWED = {
     "backends.ModVectorElement.__str__": "display dunder",
     "words.TreeWord.__repr__": "display dunder",
     "words.Portraits.__len__": "perfbench/worker.py reads the key memo's size through it",
+    "words.TreeWord.equals": "perfbench/worker.py wraps it; the replay oracle compares with it",
     **{name: "perfbench/worker.py wraps it; the tests' transport oracle"
        for name in ("cubes.check_cubic_by_support", "words.TreeWord.support")},
 }
