@@ -16,7 +16,8 @@ path equal to the derivation (so the checkpoint equalities hold by
 algebra), alpha as the spelled witness length over 2^m (rounded up, at
 least 1), and the path length bound (alpha + 4) * 2^m. A verified
 certificate pins 2^k distinct tuples inside the ball of radius
-path_length + k around the padded base tuple, with no ball enumeration.
+path_length + k around the padded base tuple, with no ball enumeration,
+through the accumulator slot that verify_certificate's docstring argues.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ def _path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -
     Every move writes the spare slot len(base) + 1. The first chunk spells
     the witness into it, one right-multiplication per letter pulled from
     the base; a letter the base lacks may be spelled as a product of
-    present ones (d = bc), and anything else is rejected. Chunk i + 1
-    conjugates the slot by step word i, two moves per label. Equal moves
-    are one shared object, which is safe because a move is frozen.
+    present ones (d = bc), and anything else is rejected. A base whose
+    slots before the last, the accumulator slot, lack a, b or c is
+    rejected too: the growth claim needs that slot (verify_certificate).
+    Chunk i + 1 conjugates the slot by step word i, two moves per label.
+    Equal moves are one shared object, which is safe because a move is
+    frozen.
     """
     slot = len(base) + 1
     move = functools.cache(NielsenMove)
@@ -88,6 +92,11 @@ def _path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -
     for ch in witness:
         if ch not in spell:
             raise CertificateError(f"base tuple {base} cannot spell letter {ch!r} into the spare slot")
+    missing = [ch for ch in "abc" if ch not in base[:-1]]
+    if missing:
+        raise CertificateError(
+            f"base tuple {base} lacks {', '.join(missing)} outside slot {len(base)}, the accumulator slot"
+        )
     yield [mv for ch in witness for mv in spell[ch]]
     for labels in step_labels:
         yield [mv for gi, s in labels for mv in (move("L", s, gi, slot), move("R", -s, gi, slot))]
@@ -106,8 +115,8 @@ def build_certificate(
 
     Raises ValueError for a level above MAX_LEVEL (before any witness is
     built), NoWitnessError for eventually constant sequences and
-    CertificateError when the Schreier graph is disconnected or the base
-    cannot spell the witness.
+    CertificateError when the Schreier graph is disconnected, the base
+    cannot spell the witness or it leaves no accumulator slot (`_path`).
     """
     gens = tuple(word(omega, w) for w in base)
     base = tuple(w.letters for w in gens)
@@ -178,6 +187,26 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     A path that differs from the derivation is INVALID even where it
     reaches the same conjugates: nothing argues the growth claim for it.
     Replaying the moves stays the tests' oracle.
+
+    The growth claim, 2^k distinct generating (n+1)-tuples within
+    path_length + k moves of the padded base, rests on an accumulator:
+    the last base slot n, with a, b and c in slots 1..n - 1, which the
+    derivation requires (a base without it is INVALID, and the failure
+    names slot n). For each eps in {0, 1}^k, insert the move R+(n+1),n,
+    slot n times the spare slot, after checkpoint i whenever eps_i = 1:
+    - the spare slot at checkpoint i holds a conjugate c_i of g, in
+      Rist(visits[i]) and so in Rist_G(level m), so slot n holds its entry
+      times some P in Rist_G(level m) from then on;
+    - a later move that reads slot n conjugates by that product, and
+      Rist_G(level m) is normal and the direct product of the Rist(v)
+      (Bartholdi-Grigorchuk-Sunic, Branch groups, 2003), so the spare
+      slot at checkpoint i is r c_i r^-1 with r in Rist_G(level m): still
+      nontrivial and in Rist(visits[i]);
+    - slot n ends as its entry times the product of those conjugates
+      with eps_i = 1, whose component at each visit determines eps;
+    - the slots holding a, b and c are never written, and a, b and c
+      generate, so every tuple generates.
+    tests/test_certificates.py builds these tuples by replay.
     """
     failures: list[str] = []
     omega = cert.omega

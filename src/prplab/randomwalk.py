@@ -5,19 +5,23 @@ tuple and then asks how far it got. Distances are exact only inside a
 precomputed breadth-first ball, the sorted per-layer keys of the array
 frontier (prp._frontier); endpoints outside it, or not representable
 in a layer's packing, are censored as "> R" rather than estimated.
-Per-trial generators are derived from the master seed by hashing, so
-each trial's result depends only on the seed and its index. A block of
-trials steps together on the frontier's rows (element ids or
-coordinates), one move index per trial and step.
+Trial i of master seed s walks the moves that
+random.Random(t).randrange(4n(n-1)) gives in turn over n-tuples, one
+draw per step, where t is the first 8 bytes, big-endian, of sha256 of
+"s:i" in ASCII; each trial's result depends only on the seed and its
+index. The draws are computed a block of trials at a time: MT19937 is
+seeded across the block in numpy, bit-identical to random.Random, and
+the few trials the block's outputs do not cover draw from random.Random
+itself, which is also the tests' oracle. A block of trials steps
+together on the frontier's rows (element ids or coordinates), one move
+index per trial and step.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -80,6 +84,126 @@ def _trial_seed(master: int, index: int) -> int:
 
 # Trials walked at once on the array engine; bounds the walk's arrays.
 _TRIAL_BLOCK = 1 << 12
+# Trials seeded at once. Seeding makes the same ~9,000 numpy calls for any
+# block, so small blocks pay numpy's per-call cost: per trial it takes
+# 4.9 us in blocks of 4096, 3.1 us in one block of 10,000 and 2.4 us in
+# blocks of 16,384 (2-vCPU Xeon, numpy 2.4).
+_SEED_BLOCK = 1 << 14
+
+# MT19937 (Matsumoto and Nishimura, 1998) as CPython's random.Random runs
+# it. An int seed is split into 32-bit key words, low word first, for
+# init_by_array; the first output then runs the twist, which rewrites word
+# kk from words kk, kk + 1 and kk + 397. Up to kk = 226 those three are
+# still the seeded ones, so the first _MT_WORDS outputs need no twist loop.
+_MT_N, _MT_M = 624, 397
+_MT_WORDS = _MT_N - _MT_M
+
+
+def _genrand_state() -> np.ndarray:
+    """init_genrand(19650218), the state init_by_array starts from."""
+    mt = [19650218]
+    for i in range(1, _MT_N):
+        mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+def _mt_getrandbits(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The first n <= _MT_WORDS values of getrandbits(k), 0 < k <= 32, of
+    random.Random(key) for each uint64 key, as an (n, len(keys)) array.
+
+    init_by_array runs as uint32 row operations across the keys. Its first
+    loop rewrites words 1..623 and then word 1 again from word 623, so that
+    loop runs twice on two rows: the first pass gives its final word 1, the
+    second feeds the second loop word by word. Output kk tempers the twist
+    of words kk and kk + 1 xor word kk + 397, and tempering is linear over
+    GF(2), so the top k bits of each part's tempering are xored as the
+    second loop reaches it: n rows of k bits are held, not 2n words.
+    Outputs 0 and 1 read the final word 1 and are made at the loop's end.
+    """
+    start, t = _genrand_state(), np.empty(len(keys), np.uint32)
+    low = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    # The first loop adds key[j] + j to word i, j cycling over the key
+    # words: j = 0 at odd i, and j = 1 at even i unless the key is below
+    # 2^32, one word.
+    adds = (np.where(high == 0, low, high + np.uint32(1)), low)
+    bits = np.empty((n, len(keys)), np.min_scalar_type((1 << k) - 1))
+
+    def mixed(word: np.ndarray, factor: int) -> np.ndarray:
+        np.right_shift(word, np.uint32(30), out=t)
+        np.bitwise_xor(t, word, out=t)
+        return np.multiply(t, np.uint32(factor), out=t)
+
+    def first_loop(word1: np.ndarray):
+        """Words 2..623 of the first loop from its word 1, each one valid
+        until the next is drawn."""
+        word, spare = word1.copy(), np.empty_like(word1)
+        for i in range(2, _MT_N):
+            np.add(np.bitwise_xor(mixed(word, 1664525), start[i], out=t), adds[i % 2], out=spare)
+            word, spare = spare, word
+            yield word
+
+    def twisted(upper, lower: np.ndarray) -> np.ndarray:
+        y = (upper & np.uint32(0x80000000)) | (lower & np.uint32(0x7FFFFFFF))
+        return (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * np.uint32(0x9908B0DF))
+
+    def top(word: np.ndarray) -> np.ndarray:
+        """The top k bits of the tempered word."""
+        w = word ^ word >> np.uint32(11)
+        w ^= (w << np.uint32(7)) & np.uint32(0x9D2C5680)
+        w ^= (w << np.uint32(15)) & np.uint32(0xEFC60000)
+        w ^= w >> np.uint32(18)
+        return w >> np.uint32(32 - k)
+
+    s0, s1 = int(start[0]), int(start[1])
+    first1 = low + np.uint32((s1 ^ 1664525 * (s0 ^ s0 >> 30)) & 0xFFFFFFFF)
+    for word in first_loop(first1):
+        pass
+    loop1 = (first1 ^ mixed(word, 1664525)) + adds[0]
+    held = np.empty((2, len(keys)), np.uint32)  # words 397 and 398
+    word, spare = loop1.copy(), np.empty_like(loop1)
+    for i, first in enumerate(first_loop(first1), start=2):
+        np.subtract(np.bitwise_xor(mixed(word, 1566083941), first, out=t), np.uint32(i), out=spare)
+        word, spare = spare, word
+        if i == 2:
+            word2 = word.copy()
+        elif i <= n:
+            bits[i - 1] = top(twisted(spare, word))
+        if i - _MT_M in (0, 1):
+            held[i - _MT_M] = word
+        elif 2 <= i - _MT_M < n:
+            bits[i - _MT_M] ^= top(word)
+    final1 = (loop1 ^ mixed(word, 1566083941)) - np.uint32(1)
+    for kk, (upper, lower) in enumerate([(0x80000000, final1), (final1, word2)][:n]):
+        bits[kk] = top(held[kk] ^ twisted(upper, lower))
+    return bits
+
+
+def _move_draws(seed: int, block: range, steps: int, m: int) -> np.ndarray:
+    """(len(block), steps) move indices: row r holds the values
+    random.Random(_trial_seed(seed, block[r])).randrange(m) gives in turn.
+
+    randrange(m) is getrandbits(k), k = m.bit_length(), redrawn until below
+    m. A draw is accepted with probability m / 2^k >= 1/2, so 2 * steps + 8
+    draws, at most _MT_WORDS, cover nearly every trial. The trials they do
+    not cover, and every trial when steps or k is beyond them, draw from
+    random.Random.
+    """
+    draws = np.zeros((len(block), steps), dtype=np.min_scalar_type(m - 1))
+    k, n = m.bit_length(), min(_MT_WORDS, 2 * steps + 8)
+    rest = range(len(block)) if steps else range(0)
+    if 0 < steps <= n and k <= 32:
+        keys = np.fromiter((_trial_seed(seed, i) for i in block), np.uint64, len(block))
+        taken = np.zeros(len(block), np.uint8)  # at most steps <= _MT_WORDS < 256
+        for bits in _mt_getrandbits(keys, n, k):
+            at = np.flatnonzero((bits < m) & (taken < steps))
+            draws[at, taken[at]] = bits[at]
+            taken[at] += 1
+        rest = np.flatnonzero(taken < steps).tolist()
+    for r in rest:
+        rng = random.Random(_trial_seed(seed, block[r]))
+        draws[r] = [rng.randrange(m) for _ in range(steps)]
+    return draws
 
 
 class _ArrayDistances:
@@ -147,16 +271,11 @@ def rw_speed(
         raise ValueError("tuples of size < 2 admit no moves")
     lookup, complete, truncated = _distance_map(backend, start, radius, budget)
 
-    def draws(index: int) -> Iterator[int]:
-        rng = random.Random(_trial_seed(seed, index))
-        return (rng.randrange(len(moves)) for _ in range(steps))
-
     distances: list[int | None] = []
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        block = range(lo, min(trials, lo + _TRIAL_BLOCK))
-        taken = itertools.chain.from_iterable(map(draws, block))
-        taken = np.fromiter(taken, dtype=np.int64, count=len(block) * steps)
-        distances += lookup.walk(moves, taken.reshape(len(block), steps))
+    for lo in range(0, trials, _SEED_BLOCK):
+        taken = _move_draws(seed, range(lo, min(trials, lo + _SEED_BLOCK)), steps, len(moves))
+        for at in range(0, len(taken), _TRIAL_BLOCK):
+            distances += lookup.walk(moves, taken[at : at + _TRIAL_BLOCK])
     return WalkStats(
         steps=steps,
         trials=trials,

@@ -45,10 +45,21 @@ class TestBuild:
             build_certificate(CLASSICAL_OMEGA, 2, base=("a", "b"))
 
     def test_base_abc_spells_d_as_bc(self):
-        cert = build_certificate(CLASSICAL_OMEGA, 2, base=("a", "b", "c"))
+        # a b c spells d as bc but leaves no slot to accumulate the cube's
+        # products: every slot is read, so it is refused, and a certificate
+        # over that base is INVALID with the accumulator slot named.
+        failure = "base tuple ('a', 'b', 'c') lacks c outside slot 3, the accumulator slot"
+        with pytest.raises(CertificateError) as refused:
+            build_certificate(CLASSICAL_OMEGA, 2, base=("a", "b", "c"))
+        assert str(refused.value) == failure
+        cert = build_certificate(CLASSICAL_OMEGA, 2, base=("a", "b", "c", "ab"))
         assert verify_certificate(cert).ok
         # alpha is recomputed from the actual spelled length
         assert cert.alpha <= 16
+        # the level-0 path over a b c: the witness abababab spelled into slot 4
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 0))
+        cert = parse_certificate(text.replace("base: a b c d", "base: a b c").replace(",5", ",4"))
+        assert verify_certificate(cert).failures == [failure]
 
     def test_degenerate_m0(self):
         cert = build_certificate(CLASSICAL_OMEGA, 0)
