@@ -10,6 +10,7 @@ commands produce byte-identical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -347,6 +348,7 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group name (builtin alias or declaration in --grp)")
 
 
+@functools.cache  # built on the first main call, then reused: a parse leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="prplab", description=__doc__)
     top.add_argument("--version", action="version", version=f"prplab {__version__}")

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import certificate_mutations, replace_field
+from prplab import cli
 from prplab.certificates import build_certificate, serialize_certificate
 from prplab.cli import main
 from prplab.omega import CLASSICAL_OMEGA
+from test_cli_reach import command_lines
 
 
 def run_cli(capsys, *argv):
@@ -318,3 +320,55 @@ def test_byte_identical_reruns(capsys):
     code1, out1, _ = run_cli(capsys, "witness", "classical", "--m", "2")
     code2, out2, _ = run_cli(capsys, "witness", "classical", "--m", "2")
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.fixture
+def cold_parser():
+    """An empty parser memo before and after the test."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, cold_parser):
+    builds = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "prplab":  # the top parser, not a subcommand's
+                builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run_any(capsys, ["element", "reduce", "--word", "aabc"])[0] == 0
+    assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1  # rejected by the parser
+    assert run_any(capsys, ["element", "reduce", "--word", "xyz"])[0] == 1  # by the engine
+    code, out, _ = run_any(capsys, ["element", "order", "--word", "ad"])
+    assert code == 0 and "order=4" in out
+    assert len(builds) == 1
+
+
+def test_warm_parser_matches_cold_parser(capsys, monkeypatch, tmp_path, cold_parser):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    lines = [argv for argv, _ in command_lines(tmp_path)]
+    lines += [["--version"], ["--help"], ["prp", "ball", "--help"]]
+    cold = []
+    for argv in lines:
+        cli.build_parser.cache_clear()
+        cold.append(run_any(capsys, argv))
+    cli.build_parser.cache_clear()  # one parser, first used for a usage error, runs every line
+    assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1
+    warm = [run_any(capsys, argv) for argv in lines]
+    assert warm == cold
+    assert [code for code, _, _ in cold[-3:]] == [0, 0, 0]
+    assert cold[-3][1] == f"prplab {cli.__version__}\n"

@@ -14,7 +14,7 @@ import types
 from pathlib import Path
 
 import prplab
-from prplab import words
+from prplab import cli, words
 from prplab.cli import main
 from prplab.witnesses import classical_t
 
@@ -128,6 +128,7 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 def test_every_package_function_is_reached_by_a_command(tmp_path):
     lines = command_lines(tmp_path)  # before tracing: it computes a witness
     words._is_identity.cache_clear()  # a memo warmed by earlier tests hides calls
+    cli.build_parser.cache_clear()  # the parser is built on the first main call only
     entered = set()
 
     def tracer(frame, event, arg):
