@@ -86,6 +86,12 @@ def families(draw):
 @example(family=[word(CLASSICAL_OMEGA, w) for w in ("ba", "ac", "d")], level=5)
 @example(family=[word(CLASSICAL_OMEGA, w) for w in ("da", "a", "ca", "d")], level=5)
 @example(family=[word(CLASSICAL_OMEGA, "adadadad")], level=3)
+# The print weights shrink to 29 bits at level 12 and 21 bits at level 16;
+# equal products must still print alike there.
+@example(family=[word(CLASSICAL_OMEGA, "adad"), word(CLASSICAL_OMEGA, "dada")], level=12)
+@example(family=[word(DB_OMEGA, w, 1) for w in ("ab", "dac", "ab")], level=12)
+@example(family=[word(CLASSICAL_OMEGA, w) for w in ("b", "adad", "dada")], level=16)
+@example(family=[word(DB_OMEGA, w) for w in ("ca", "bad", "ca")], level=16)
 def test_bruteforce_matches_recursive_oracle(family, level):
     assert check_cubic_bruteforce(family, level) is bruteforce_oracle(family, level)
 
@@ -164,15 +170,42 @@ class TestBruteForce:
     (["adad", "dada"], False), ([], True), (None, True),
 ], ids=["a-b", "a-a", "a-1", "adad-dada", "empty", "family-m2"])
 def test_one_hash_bucket_keeps_every_verdict(monkeypatch, letters, expected):
-    # A constant fingerprint puts every product in one bucket, and only the
-    # exact pairwise comparison can tell them apart.
+    # All-zero weights print every product as 0, so every product is in one
+    # run, and only the exact portrait keys can tell them apart.
     if letters is None:
         family = family_at_level(2)
     else:
         family = [word(CLASSICAL_OMEGA, w) for w in letters]
     assert check_cubic_bruteforce(family) is expected
-    monkeypatch.setattr(cubes, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    monkeypatch.setattr(cubes, "_weights", np.zeros)
     assert check_cubic_bruteforce(family) is expected
+
+
+@pytest.mark.parametrize("block", [cubes._BLOCK, 2 ** 9], ids=["one-block", "2-row-blocks"])
+@pytest.mark.parametrize("spoil", ["copy", "product"])
+def test_spoiled_m4_family_is_not_cubic(monkeypatch, block, spoil):
+    # The m = 4 family has 2^16 distinct products. A member replaced by a
+    # copy of another, or by the product of two others, makes a one-member
+    # product equal to another product: {12} and {3}, or {5} and {2, 9}.
+    family = family_at_level(4)
+    assert check_cubic_bruteforce(family, fingerprint_level=8)
+    if spoil == "copy":
+        family[12] = family[3]
+    else:
+        family[5] = family[2] * family[9]
+    monkeypatch.setattr(cubes, "_BLOCK", block)
+    assert check_cubic_bruteforce(family, fingerprint_level=8) is False
+
+
+@pytest.mark.parametrize("level", range(17))
+def test_prints_are_exact_in_float64(level):
+    # n entries below 2^b times integer weights below 2^(53 - 2b) sum to
+    # less than 2^53, so float64 adds them exactly in any order.
+    n = 2 ** level
+    w = cubes._weights(n)
+    assert w.dtype == np.float64 and np.all(w == np.floor(w)) and w.min() >= 0
+    assert int(w.max()) < 2 ** (53 - 2 * (n - 1).bit_length())
+    assert n * (n - 1) * int(w.max()) < 2 ** 53
 
 
 @pytest.mark.parametrize("level", range(6))
