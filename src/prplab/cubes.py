@@ -4,7 +4,7 @@ Two independent routes. The brute-force route enumerates every ordered
 subset product g_1^e1 ... g_k^ek (e in {0,1}^k) as a permutation of one
 tree level, composed from the generators' permutations, and gives each a
 linear print; products whose prints meet are settled by their exact
-portrait keys (words.Portraits), so the answer is exact. The support
+portrait keys (words.portraits), so the answer is exact. The support
 route never enumerates: disjoint singleton supports of nontrivial
 elements force all subset products apart. The two must agree wherever
 both apply.
@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .words import LETTERS, Portraits, TreeWord, WordError, identity, level_strings
+from .words import LETTERS, TreeWord, WordError, identity, level_strings, portraits
 
 BRUTE_FORCE_CAP = 16
 _BLOCK = 1 << 18  # float64 entries of one operand block of the print product
@@ -85,9 +85,13 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     perms = np.tile(table[-1], (k, 1))
     for column in offsets.T:
         perms = table.ravel().take(column[:, None] + perms)
-    # Row r of a half is the ordered product of its members whose bits are set in r.
-    left, right = (reduce(lambda acc, p: np.concatenate([acc, acc[:, p]]), half, table[-1:])
-                   for half in (perms[:k // 2], perms[k // 2:]))
+    # Row r of a half is the ordered product of its members whose bits are set in r:
+    # rows 2^j..2^(j+1)-1 gather member j into rows 0..2^j-1, in place ("clip" needs no buffer).
+    left, right = (np.empty((1 << h, n), perms.dtype) for h in (k // 2, k - k // 2))
+    for out, half in ((left, perms[:k // 2]), (right, perms[k // 2:])):
+        out[0] = table[-1]
+        for j, p in enumerate(half):
+            np.take(out[:1 << j], p, axis=1, out=out[1 << j:2 << j], mode="clip")
 
     # Only runs of equal prints are settled, each in one pass over exact
     # keys: the products share an offset, so equal keys mean equal elements.
@@ -96,11 +100,11 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     ranked = prints[order]
     starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
     sizes = np.diff(starts, append=len(ranked))
-    portraits = Portraits(omega)
+    keys = portraits(omega)
     for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         group = order[start:start + size].tolist()
         words = [_subset_product(elements, r // len(right) | r % len(right) << k // 2) for r in group]
-        if len({portraits.key(w) for w in words}) < size:
+        if len({keys.key(w) for w in words}) < size:
             return False
     return True
 

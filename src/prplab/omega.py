@@ -2,8 +2,9 @@
 
 A sequence is stored as a finite prefix plus a nonempty repeating cycle,
 so that letter_at(n) is prefix[n] for n < len(prefix) and cycles afterwards.
-Restricting to this class keeps tail predicates ("the sequence is constantly
-x from position k on") decidable, which the word problem relies on.
+In this class the tails from n and m are equal iff the letters from n and m
+agree for len(prefix) + len(cycle) places; the portrait keys of the word
+problem rest on that.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ class OmegaSequence:
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
     def canonical_pos(self, n: int) -> int:
-        """Smallest position with the same tail as position n.
+        """A position below len(prefix) + len(cycle) with the tail of n.
 
         Positions inside the prefix are their own class; positions past it
-        collapse modulo the cycle length. Memo keys for word-problem results
-        use this so equal tails share cache entries.
+        collapse modulo the cycle length. Memo keys of portraits use this,
+        so positions one cycle apart share memo entries.
         """
         p = len(self.prefix)
         if n < p:
@@ -47,12 +48,6 @@ class OmegaSequence:
     def is_eventually_constant(self) -> bool:
         # Decided from the cycle alone: a non-constant cycle recurs forever.
         return len(set(self.cycle)) == 1
-
-    def constant_from(self, letter: str, k: int) -> bool:
-        """True iff letter_at(j) == letter for every j >= k."""
-        if any(ch != letter for ch in self.prefix[k:]):
-            return False
-        return set(self.cycle) == {letter}
 
     def relabel(self, perm: dict[str, str]) -> "OmegaSequence":
         """Apply a permutation of {b,c,d} letterwise."""

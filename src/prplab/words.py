@@ -10,8 +10,10 @@ the first-bit flip. Words are kept reduced under the relations
 
 i.e. no two adjacent 'a' and no two adjacent letters from {b,c,d}. Reduced
 words over these relations are normal forms for the free product Z2 * V4,
-so concatenate-then-reduce is a sound group law at fixed offset (deeper
-relations of the actual group are the word problem, handled separately).
+so concatenate-then-reduce is a sound group law at fixed offset. Deeper
+relations of the actual group are decided once, by minimal portraits over
+the nucleus (`Portraits`): identity, equality and same action across
+offsets are all equality of portrait keys.
 
 Convention: a word acts on strings by function composition with the
 rightmost letter applied first, so act(u*v, s) == act(u, act(v, s)).
@@ -129,7 +131,7 @@ class TreeWord:
 
         Each non-'a' letter contributes one letter to one side and at most
         one 'a' to the other, so both sides have at most (len+1)/2 letters
-        before reduction; this contraction is what makes the word problem
+        before reduction; this contraction is what makes the portrait
         recursion terminate.
         """
         wk = self.omega.letter_at(self.offset)
@@ -222,9 +224,7 @@ class TreeWord:
 
     def equals(self, other: "TreeWord") -> bool:
         self._check_compatible(other)
-        if self.letters == other.letters:
-            return True
-        return (self * other.inverse()).is_identity()
+        return self.letters == other.letters or same_action(self, other)
 
     def order(self, cap_exponent: int = 30) -> int | None:
         """Exact order when it is a power of two not above 2**cap_exponent.
@@ -315,49 +315,51 @@ def level_strings(m: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
+def portraits(omega: OmegaSequence) -> "Portraits":
+    """The one portrait memo per sequence behind every equality decision."""
+    return Portraits(omega)
+
+
+# A memo over the portrait memo, kept for its cache_info(): the benchmark
+# reports its size and hit ratio.
+@lru_cache(maxsize=None)
 def _is_identity(omega: OmegaSequence, cpos: int, letters: str) -> bool:
-    if not letters:
-        return True
-    if letters.count("a") % 2:
-        return False
-    if len(letters) == 1:
-        return omega.constant_from(letters, cpos)
-    pair = _reduced(omega, cpos, letters).sections()
-    for child in (pair.left, pair.right):
-        # Contraction must strictly shrink the word, else the recursion
-        # would not terminate.
-        if len(child.letters) > (len(letters) + 1) // 2:
-            raise WordError(f"section of {letters!r} does not contract")
-    left_ok = _is_identity(omega, omega.canonical_pos(cpos + 1), pair.left.letters)
-    if not left_ok:
-        return False
-    return _is_identity(omega, omega.canonical_pos(cpos + 1), pair.right.letters)
+    return portraits(omega)._key(cpos, letters) == 0
 
 
 class Portraits:
     """Exact keys of tree words: minimal portraits, hash-consed to small ints.
 
     The family group is contracting with nucleus {1, a, b_k, c_k, d_k}.
-    A word of at most one letter is a nucleus leaf: 1, a, or the letter
-    x at canonical position k, which is 1 when omega is constantly x from
-    k on, and equals the other non-constant letter y (x_k = y_k) when the
-    third letter is. A longer word is the node (swap, left, right) of its
-    sections, collapsed back to 1, a or x_k when it equals their one-level
-    expansion x_k = (a^e, x_{k+1}), e = 1 iff omega_k != x. So the
-    portrait of an element depends on the element alone, and two words at
-    the same canonical offset get the same key iff they are equal.
-    Leaves carry their position, so every key stands for one automorphism
-    and one table serves all positions.
+    The leaf x_k is keyed by its bits [omega_j != x] for j = k, ...,
+    k + n - 1, n = len(prefix) + len(cycle): they fix x_k = (a^e, x_{k+1})
+    all the way down, because past the prefix they repeat with the cycle.
+    So two leaves at any offsets get one key iff they act alike; all zero
+    bits are the identity, key 0, and a is key 1. A longer word is the
+    node (swap, left, right) of its sections, collapsed back to the
+    nucleus element whose expansion it is. The portrait of an element then
+    depends on the element alone: two words, at any offsets into one
+    sequence, get the same key iff they act alike on the tree.
     """
 
     def __init__(self, omega: OmegaSequence):
         self.omega = omega
-        # Interned portraits: "" and "a" for 1 and a, (position, letter)
-        # for the other leaves, (swap, left, right) for nodes.
-        self._ids: dict = {"": 0, "a": 1}
+        n = len(omega.prefix) + len(omega.cycle)
+        # Interned portraits: bit strings for leaves, "a" for a and
+        # (swap, left, right) for nodes. Leaves are strings so that none
+        # equals a node tuple: (True, 1, 1) == (1, 1, 1).
+        self._ids: dict = {"0" * n: 0, "a": 1}
+        # Every word of at most one letter, at every canonical position.
         self._words: dict[tuple[int, str], int] = {}
-        # Per position: the expansion of each nucleus element -> its key.
-        self._expansions: dict[int, dict[tuple[bool, int, int], int]] = {}
+        # The expansion (swap, left, right) of each nucleus element -> its key.
+        self._collapse: dict[tuple[bool, int, int], int] = {(False, 0, 0): 0, (True, 0, 0): 1}
+        for k in range(n):
+            self._words[(k, "")], self._words[(k, "a")] = 0, 1
+            for x in BCD:
+                bits = "".join("0" if omega.letter_at(j) == x else "1" for j in range(k, k + n + 1))
+                self._words[(k, x)] = leaf = self._intern(bits[:-1])
+                # x_k = (a^e, x_{k+1}), where a^e has key e = bits[0].
+                self._collapse[(False, int(bits[0]), self._intern(bits[1:]))] = leaf
 
     def __len__(self) -> int:
         return len(self._words)
@@ -371,77 +373,29 @@ class Portraits:
     def _key(self, cpos: int, letters: str) -> int:
         key = self._words.get((cpos, letters))
         if key is None:
-            if len(letters) <= 1:
-                key = self._leaf(cpos, letters)
-            else:
-                pair = _reduced(self.omega, cpos, letters).sections()
-                below = self.omega.canonical_pos(cpos + 1)
-                node = (pair.swapped, self._key(below, pair.left.letters),
-                        self._key(below, pair.right.letters))
-                key = self._nucleus(cpos).get(node)
-                if key is None:
-                    key = self._intern(node)
+            pair = _reduced(self.omega, cpos, letters).sections()
+            # Contraction must strictly shrink the word, else the recursion
+            # would not terminate.
+            if max(len(pair.left.letters), len(pair.right.letters)) > (len(letters) + 1) // 2:
+                raise WordError(f"section of {letters!r} does not contract")
+            below = self.omega.canonical_pos(cpos + 1)
+            node = (pair.swapped, self._key(below, pair.left.letters),
+                    self._key(below, pair.right.letters))
+            key = self._collapse.get(node)
+            if key is None:
+                key = self._intern(node)
             self._words[(cpos, letters)] = key
         return key
 
     def _intern(self, portrait) -> int:
         return self._ids.setdefault(portrait, len(self._ids))
 
-    def _leaf(self, cpos: int, letter: str) -> int:
-        if letter in ("", "a"):
-            return self._ids[letter]
-        if self.omega.constant_from(letter, cpos):
-            return self._ids[""]
-        for third in BCD:
-            if third != letter and self.omega.constant_from(third, cpos):
-                letter = min(BCD.replace(third, ""))
-        return self._intern((cpos, letter))
-
-    def _nucleus(self, cpos: int) -> dict[tuple[bool, int, int], int]:
-        table = self._expansions.get(cpos)
-        if table is None:
-            one, a = self._ids[""], self._ids["a"]
-            below = self.omega.canonical_pos(cpos + 1)
-            wk = self.omega.letter_at(cpos)
-            table = {(False, one, one): one, (True, one, one): a}
-            for x in BCD:
-                expansion = (False, one if wk == x else a, self._leaf(below, x))
-                table[expansion] = self._leaf(cpos, x)
-            self._expansions[cpos] = table
-        return table
-
 
 def same_action(u: TreeWord, v: TreeWord) -> bool:
-    """Equality as tree automorphisms, allowing different offsets.
-
-    Words at different offsets into the same eventually periodic sequence
-    still act on one tree; this compares their section trees by
-    bisimulation. Offsets are canonicalized, so the pairs of sections
-    reachable from (u, v) are finitely many; the words are equal iff no
-    reachable pair differs in its top swap, or has one trivial side while
-    the other is not the identity. A worklist visits each pair once.
-    """
+    """Equality as tree automorphisms, allowing different offsets: words at
+    any offsets into one sequence act on one tree, and portrait keys are
+    exact across offsets."""
     if u.omega != v.omega:
         raise WordError("words are defined over different sequences")
-    omega = u.omega
-    seen: set[tuple[int, str, int, str]] = set()
-    todo = [(u, v)]
-    while todo:
-        x, y = todo.pop()
-        if x.letters.count("a") % 2 != y.letters.count("a") % 2:
-            return False
-        if not x.letters or not y.letters:
-            if not (x.is_identity() and y.is_identity()):
-                return False
-            continue
-        key = (
-            omega.canonical_pos(x.offset), x.letters,
-            omega.canonical_pos(y.offset), y.letters,
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        xs, ys = x.sections(), y.sections()
-        todo.append((xs.right, ys.right))
-        todo.append((xs.left, ys.left))
-    return True
+    keys = portraits(u.omega)
+    return keys.key(u) == keys.key(v)

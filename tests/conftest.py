@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 from typing import Iterator
 
 import pytest
@@ -29,6 +30,59 @@ def random_nonconstant_cycle(rng: random.Random, max_len: int = 4) -> str:
 def random_word(rng: random.Random, omega: OmegaSequence, max_len: int = 40, offset: int = 0) -> TreeWord:
     raw = "".join(rng.choice("abcd") for _ in range(rng.randrange(max_len + 1)))
     return TreeWord(omega, offset, reduce_letters(raw))
+
+
+def section_identity(w: TreeWord) -> bool:
+    """The word problem by section recursion: the oracle of portrait keys.
+
+    A word is trivial iff it has an even number of a's and both sections
+    are trivial; a single letter x at position k is trivial iff omega is
+    constantly x from k on. Sections contract, so the recursion ends."""
+    return _section_identity(w.omega, w.omega.canonical_pos(w.offset), w.letters)
+
+
+@lru_cache(maxsize=None)
+def _section_identity(omega: OmegaSequence, cpos: int, letters: str) -> bool:
+    if not letters:
+        return True
+    if letters.count("a") % 2:
+        return False
+    if len(letters) == 1:
+        return set(omega.prefix[cpos:] + omega.cycle) == {letters}
+    pair = TreeWord(omega, cpos, letters).sections()
+    below = omega.canonical_pos(cpos + 1)
+    return (_section_identity(omega, below, pair.left.letters)
+            and _section_identity(omega, below, pair.right.letters))
+
+
+def bisimilar(u: TreeWord, v: TreeWord) -> bool:
+    """Equality as tree automorphisms at any two offsets, by bisimulation
+    of the section trees: the oracle of words.same_action.
+
+    Offsets are canonicalized, so the pairs of sections reachable from
+    (u, v) are finitely many; the words are equal iff no reachable pair
+    differs in its top swap, or has one trivial side while the other is
+    not the identity. A worklist visits each pair once."""
+    assert u.omega == v.omega
+    omega = u.omega
+    seen: set[tuple[int, str, int, str]] = set()
+    todo = [(u, v)]
+    while todo:
+        x, y = todo.pop()
+        if x.letters.count("a") % 2 != y.letters.count("a") % 2:
+            return False
+        if not x.letters or not y.letters:
+            if not (section_identity(x) and section_identity(y)):
+                return False
+            continue
+        key = (omega.canonical_pos(x.offset), x.letters, omega.canonical_pos(y.offset), y.letters)
+        if key in seen:
+            continue
+        seen.add(key)
+        xs, ys = x.sections(), y.sections()
+        todo.append((xs.right, ys.right))
+        todo.append((xs.left, ys.left))
+    return True
 
 
 def mod_elements(backend) -> list:

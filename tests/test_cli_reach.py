@@ -127,7 +127,8 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 
 def test_every_package_function_is_reached_by_a_command(tmp_path):
     lines = command_lines(tmp_path)  # before tracing: it computes a witness
-    words._is_identity.cache_clear()  # a memo warmed by earlier tests hides calls
+    words._is_identity.cache_clear()  # memos warmed by earlier tests hide calls
+    words.portraits.cache_clear()
     cli.build_parser.cache_clear()  # the parser is built on the first main call only
     entered = set()
 

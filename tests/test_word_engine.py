@@ -3,16 +3,17 @@
 `fixes_level`, `support` and `in_rist` walk the sections once; the oracles
 act on every level string or take sections vertex by vertex. Products
 cancel only at the seam; the oracle reduces the whole concatenation.
+Equality goes through portrait keys; the oracle is the section recursion.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prplab import words
+from conftest import section_identity
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.witnesses import witness_for
-from prplab.words import SectionPair, TreeWord, WordError, level_strings, reduce_letters, word
+from prplab.words import Portraits, SectionPair, TreeWord, WordError, level_strings, reduce_letters, word
 
 # Two periodic sequences and one with a prefix before its period.
 OMEGAS = [CLASSICAL_OMEGA, OmegaSequence("", "db"), OmegaSequence("cb", "dbc")]
@@ -54,7 +55,7 @@ def fixes_level_oracle(g: TreeWord, m: int) -> bool:
 
 
 def support_oracle(g: TreeWord, m: int) -> set[str]:
-    return {s for s in level_strings(m) if not g.section_at(s).is_identity()}
+    return {s for s in level_strings(m) if not section_identity(g.section_at(s))}
 
 
 def is_reduced(w: TreeWord) -> bool:
@@ -130,19 +131,19 @@ def test_contraction_guard_raises_word_error(monkeypatch):
 
     monkeypatch.setattr(TreeWord, "sections", bloated)
     with pytest.raises(WordError, match="contract"):
-        words._is_identity.__wrapped__(CLASSICAL_OMEGA, 0, "abacabad")
+        Portraits(CLASSICAL_OMEGA).key(word(CLASSICAL_OMEGA, "abacabad"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(elements(), raw_words)
 def test_equals_matches_word_problem(g, raw):
-    # Identical letters are accepted without the word problem; every other
-    # pair still goes to it. (ad)^4 is a reduced word for the identity of
-    # the classical group, so g and g(ad)^4 differ in letters only.
+    # Identical letters are accepted without portraits; every other pair
+    # goes to them. (ad)^4 is a reduced word for the identity of the
+    # classical group, so g and g(ad)^4 differ in letters only.
     h = word(g.omega, raw)
     pairs = [(g, h), (h, g), (g, word(g.omega, g.letters)), (g * h, h * g)]
     if g.omega == CLASSICAL_OMEGA:
         pairs.append((g, g * word(g.omega, "adadadad")))
     for x, y in pairs:
-        assert x.equals(y) == (x * y.inverse()).is_identity()
+        assert x.equals(y) == section_identity(x * y.inverse())
     assert g.equals(word(g.omega, g.letters))
