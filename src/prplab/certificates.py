@@ -9,12 +9,12 @@ the move counts after which the spare slot must equal each conjugate.
 
 Build and verify derive the path from the witness, the base and the
 step labels through one function, `_path`. Verification re-derives every
-claim: walk validity (stepped along the labels on level-m strings),
-rigid-stabilizer membership, cubicity of the conjugate family (by
-transport from those two, cross-checked by brute force for small k), a
-path equal to the derivation (so the checkpoint equalities hold by
-algebra), alpha as the spelled witness length over 2^m (rounded up, at
-least 1), and the path length bound (alpha + 4) * 2^m. A verified
+claim: walk validity (the labels stepped through the generators' level-m
+permutations), rigid-stabilizer membership, cubicity of the conjugate
+family (by transport from those two, cross-checked by brute force for
+small k), a path equal to the derivation (so the checkpoint equalities
+hold by algebra), alpha as the spelled witness length over 2^m (rounded
+up, at least 1), and the path length bound (alpha + 4) * 2^m. A verified
 certificate pins 2^k distinct tuples inside the ball of radius
 path_length + k around the padded base tuple, with no ball enumeration,
 through the accumulator slot that verify_certificate's docstring argues.
@@ -31,7 +31,7 @@ from .omega import OmegaSequence
 from .prp import NielsenMove
 from .schreier import Label, schreier, spanning_walk, walk_elements
 from .witnesses import witness_for
-from .words import MAX_LEVEL, word
+from .words import MAX_LEVEL, level_permutations, word
 
 # perfbench/selftest.py checks that its tracer wraps this name here too.
 from .prp import apply_move  # noqa: F401
@@ -165,8 +165,9 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     For k <= BRUTE_FORCE_CAP enumerating all 2^k subset products, as
     permutations of level max(7, m + 4), remains an independent cross-check.
 
-    The walk is checked by stepping its labels on level-m strings, so no
-    walk word acts on a string.
+    The walk is checked by stepping its labels through the generators'
+    level-m permutations (words.level_permutations), one lookup per label,
+    so the check forms no walk word.
 
     The path is checked by derivation, not by replay: the certificate's
     moves and checkpoints must equal those `_path` derives from the
@@ -251,13 +252,13 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
                 failures.append(f"step label references generator {gi}")
                 return result
     # h_(i+1) = (step word i) * h_i, so stepping the labels in order from
-    # h_i(start) reaches h_(i+1)(start).
-    inverses = [w.inverse() for w in gens]
-    at = cert.start
+    # h_i(start) reaches h_(i+1)(start). Label (i, +) is row 2i - 2, (i, -) row 2i - 1.
+    rows = level_permutations([h for w in gens for h in (w, w.inverse())], m).tolist()
+    at = int("0" + cert.start, 2)
     for labels, s in zip(cert.step_labels, cert.visits[1:]):
         for gi, sign in labels:
-            at = (gens[gi - 1] if sign > 0 else inverses[gi - 1]).act(at)
-        if at != s:
+            at = rows[2 * gi - 1 - (sign > 0)][at]
+        if at != int("0" + s, 2):
             failures.append(f"walk element does not carry {cert.start!r} to {s!r}")
             return result
 
@@ -324,7 +325,8 @@ def serialize_certificate(cert: CubicCertificate) -> str:
     lines.append("visits: " + " ".join(_mark(v) for v in cert.visits))
     for labels in cert.step_labels:
         lines.append("step: " + " ".join(f"{gi}{'+' if s > 0 else '-'}" for gi, s in labels))
-    lines.append("moves: " + " ".join(str(m) for m in cert.moves))
+    # A path of 2^m steps has about ten distinct moves; each is formatted once.
+    lines.append("moves: " + " ".join(map(functools.cache(str), cert.moves)))
     lines.append("checkpoints: " + " ".join(str(c) for c in cert.checkpoints))
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,8 @@
 
 Two independent routes. The brute-force route enumerates every ordered
 subset product g_1^e1 ... g_k^ek (e in {0,1}^k) as a permutation of one
-tree level, composed from the generators' permutations, and gives each a
+tree level, composed from the members' permutations of that level
+(words.level_permutations, one array for all k), and gives each a
 linear print; products whose prints meet are settled by their exact
 portrait keys (words.portraits), so the answer is exact. The support
 route never enumerates: disjoint singleton supports of nontrivial
@@ -31,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .words import LETTERS, TreeWord, WordError, identity, level_strings, portraits
+from .words import TreeWord, WordError, identity, level_permutations, portraits
 
 BRUTE_FORCE_CAP = 16
 _BLOCK = 1 << 18  # float64 entries of one operand block of the print product
@@ -71,25 +72,13 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     if any(g.omega != omega or g.offset != offset for g in elements):
         raise CubeError("elements mix defining sequences or offsets; their products are undefined")
 
-    strings = level_strings(fingerprint_level)
-    n = len(strings)
-    index = {s: i for i, s in enumerate(strings)}
-    # Rows 0-3 are the permutations of letters a-d, row 4 ("e") the identity.
-    table = np.array([[index[t] for t in map(TreeWord(omega, offset, ch).act, strings)]
-                      for ch in LETTERS] + [range(n)], np.uint8 if fingerprint_level <= 8 else np.uint16)
-    # act applies the rightmost letter first; "e" pads short words.
-    width = max(len(g.letters) for g in elements)
-    codes = np.frombuffer("".join(g.letters[::-1].ljust(width, "e") for g in elements).encode(), np.uint8)
-    offsets = (codes.reshape(k, width).astype(np.intp) - ord("a")) * n
-    # One gather from the flat table per letter column composes all k members at once.
-    perms = np.tile(table[-1], (k, 1))
-    for column in offsets.T:
-        perms = table.ravel().take(column[:, None] + perms)
+    perms = level_permutations(elements, fingerprint_level)
+    n = perms.shape[1]
     # Row r of a half is the ordered product of its members whose bits are set in r:
     # rows 2^j..2^(j+1)-1 gather member j into rows 0..2^j-1, in place ("clip" needs no buffer).
     left, right = (np.empty((1 << h, n), perms.dtype) for h in (k // 2, k - k // 2))
     for out, half in ((left, perms[:k // 2]), (right, perms[k // 2:])):
-        out[0] = table[-1]
+        out[0] = np.arange(n)
         for j, p in enumerate(half):
             np.take(out[:1 << j], p, axis=1, out=out[1 << j:2 << j], mode="clip")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .words import MAX_LEVEL, TreeWord, identity, level_strings
+from .words import MAX_LEVEL, TreeWord, identity, level_permutations, level_strings
 
 
 class SchreierError(ValueError):
@@ -65,14 +65,8 @@ def schreier(generators: tuple[TreeWord, ...], m: int) -> SchreierGraph:
     if m > MAX_LEVEL:
         raise SchreierError(f"level {m} above configured maximum {MAX_LEVEL}")
     vertices = level_strings(m)
-    index = {s: v for v, s in enumerate(vertices)}
     # Columns follow label order: (g1, +), (g1, -), (g2, +), ...
-    out: list[list[int]] = [[] for _ in vertices]
-    for gen in generators:
-        inv = gen.inverse()
-        for g in (gen, inv):
-            for v, s in enumerate(vertices):
-                out[v].append(index[g.act(s)])
+    out = level_permutations([h for g in generators for h in (g, g.inverse())], m).T.tolist()
 
     seen = {0}
     stack = [0]
@@ -118,14 +112,9 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
     labels = graph.labels
 
     def targets(v: int):
-        # Children scanned in lexicographic order of the target string,
-        # ties broken by label order.
-        return iter(
-            sorted(
-                ((graph.vertices[w], li, w) for li, w in enumerate(graph.out[v])),
-                key=lambda t: (t[0], t[1]),
-            )
-        )
+        # Children scanned in order of the target index, which is the
+        # lexicographic order of equal-length strings; ties by label order.
+        return iter(sorted((w, li) for li, w in enumerate(graph.out[v])))
 
     visited = {start_idx}
     visits = [graph.vertices[start_idx]]
@@ -136,7 +125,7 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
     while stack:
         entry, it = stack[-1]
         descended = False
-        for s, li, w in it:
+        for w, li in it:
             if w in visited:
                 continue
             visited.add(w)
@@ -144,7 +133,7 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
             pending.append(label)
             step_labels.append(pending)
             pending = []
-            visits.append(s)
+            visits.append(graph.vertices[w])
             stack.append((label, targets(w)))
             descended = True
             break

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .omega import BCD, OmegaSequence
 
 LETTERS = "abcd"
@@ -312,6 +314,34 @@ def level_strings(m: int) -> list[str]:
     if m == 0:
         return [""]
     return [format(i, f"0{m}b") for i in range(2 ** m)]
+
+
+def level_permutations(words: list[TreeWord], m: int) -> np.ndarray:
+    """Row r maps each level-m string, read as an integer with its first
+    letter most significant, to its image under words[r], in the least
+    unsigned dtype. The words must share omega and offset k.
+
+    a flips the top bit. x in {b, c, d} flips letter n + 1, bit 2^(m-n-2),
+    of the strings with exactly n leading ones, 2^m - 2^(m-n) up to
+    2^m - 2^(m-n-1), whenever omega_(k+n) != x. All words compose at once,
+    rightmost letter first as in act, one gather per letter column.
+    """
+    if len({(w.omega, w.offset) for w in words}) > 1:
+        raise WordError("words mix defining sequences or offsets")
+    size = 2 ** m
+    # Rows 0-3 are the permutations of letters a-d, row 4 ("e") the identity.
+    table = np.tile(np.arange(size, dtype=np.min_scalar_type(size - 1)), (5, 1))
+    table[0] ^= size >> 1
+    for row, x in enumerate(BCD, 1):
+        for n in range(m - 1):
+            if words and words[0].omega.letter_at(words[0].offset + n) != x:
+                table[row, size - (size >> n):size - (size >> n + 1)] ^= size >> n + 2
+    width = max((len(w.letters) for w in words), default=0)
+    codes = np.frombuffer("".join(w.letters[::-1].ljust(width, "e") for w in words).encode(), np.uint8)
+    perms = np.tile(table[-1], (len(words), 1))
+    for column in (codes.reshape(len(words), width).astype(np.intp) - ord("a")).T * size:
+        perms = table.ravel().take(column[:, None] + perms)
+    return perms
 
 
 @lru_cache(maxsize=None)

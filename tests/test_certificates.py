@@ -122,7 +122,24 @@ class TestVerify:
         cert = build_certificate(CLASSICAL_OMEGA, 2)
         cert.visits[1], cert.visits[2] = cert.visits[2], cert.visits[1]
         result = verify_certificate(cert)
-        assert not result.ok
+        assert result.failures == [f"walk element does not carry '11' to {cert.visits[1]!r}"]
+
+    def test_tamper_retargeted_step_label(self):
+        # The first step is a+ from 11 to 01; b+ fixes 11, so the walk
+        # no longer reaches the first visit.
+        cert = build_certificate(CLASSICAL_OMEGA, 2)
+        assert cert.step_labels[0] == [(1, 1)] and cert.visits[:2] == ["11", "01"]
+        cert.step_labels[0] = [(2, 1)]
+        result = verify_certificate(cert)
+        assert result.failures == ["walk element does not carry '11' to '01'"]
+
+    @pytest.mark.parametrize("gi", [0, 5])
+    def test_step_label_generator_out_of_range(self, gi):
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))
+        cert = parse_certificate(replace_field(text, "step", f"{gi}+", 0))
+        assert len(cert.base) == 4
+        result = verify_certificate(cert)
+        assert result.failures == [f"step label references generator {gi}"]
 
     def test_tamper_path_length_bound(self):
         cert = build_certificate(CLASSICAL_OMEGA, 2)
