@@ -180,10 +180,12 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
         raise PrpError(f"need radius >= 0 and budget >= 1, got radius {radius} and budget {budget}")
     table = BallTable(origin=start, degree=len(moves_for(len(start))))
     count = 0
-    for r, (keys, _) in enumerate(_frontier(_rows_for(backend, start), radius, budget)):
-        count += len(keys)
+    # Sizes only: the frontier frees each layer's keys once it has expanded them.
+    sizes = map(lambda layer: len(layer[0]), _frontier(_rows_for(backend, start), radius, budget))
+    for r, size in enumerate(sizes):
+        count += size
         table.rows.append((r, count))
-        if not len(keys):
+        if not size:
             # saturated: every larger ball equals the component, exactly
             table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
     table.truncated = table.complete_radius < radius
@@ -204,6 +206,7 @@ class _Packing:
         self.dtype = np.int64 if base ** (n * d) <= 2**63 else object
         exponents = range(n * d - 1, -1, -1)
         self.weights = np.array([base**e for e in exponents], dtype=self.dtype).reshape(n, d)
+        self.shift = offset * sum(base**e for e in exponents)  # the key of the all -offset row
 
     def fits(self, values: np.ndarray) -> np.ndarray:
         """Elementwise: whether each digit is representable."""
@@ -211,18 +214,24 @@ class _Packing:
         return (shifted >= 0) & (shifted < self.base)
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
-        """The keys of rows whose digits all fit, in this packing's dtype."""
-        shifted = rows.astype(self.dtype, copy=False) + self.offset
-        return shifted.reshape(len(rows), self.n * self.d) @ self.weights.ravel()
+        """The keys of rows whose digits all fit, in this packing's dtype.
+        A partial sum of digits times weights is at most (base - 1) times
+        the weights' sum, base**(n*d) - 1, in size, so none wraps."""
+        flat = rows.astype(self.dtype, copy=False).reshape(len(rows), self.n * self.d)
+        keys = flat @ self.weights.ravel()
+        keys += self.shift
+        return keys
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        # // and %: np.divmod has no loop for object arrays.
+        # In place, digit by digit: np.divmod has no loop for object arrays.
         out = np.empty((len(keys), self.n * self.d), dtype=self.dtype)
+        lead = out[:, :1]  # the leading digit, once the others are split off
+        lead[...] = keys[:, None]
         for q in range(self.n * self.d - 1, 0, -1):
-            out[:, q] = keys % self.base
-            keys = keys // self.base
-        out[:, :1] = keys[:, None]  # the leading digit
-        return (out - self.offset).reshape(len(out), self.n, self.d)
+            np.remainder(lead, self.base, out=out[:, q : q + 1])
+            np.floor_divide(lead, self.base, out=lead)
+        out -= self.offset
+        return out.reshape(len(out), self.n, self.d)
 
 
 def _move_table(moves: list[NielsenMove], n: int) -> np.ndarray:
@@ -259,7 +268,7 @@ class _CoordinateRows:
         return np.array([e.coords for e in entries], dtype=dtype).reshape(len(entries), self.d)
 
     def packing(self, frontier: np.ndarray, previous: np.ndarray) -> _Packing:
-        held = max((int(np.abs(rows).max()) for rows in (frontier, previous) if rows.size), default=0)
+        held = max((max(int(rows.max()), -int(rows.min())) for rows in (frontier, previous) if rows.size), default=0)
         return self._packing(held)
 
     def _packing(self, held: int) -> _Packing:
@@ -363,9 +372,9 @@ class _IdRows:
             elements = self._elements
             ids = [self._intern(self.backend.multiply(elements[c >> 32], elements[c & 0xFFFFFFFF]))
                    for c in new.tolist()]
-            order = np.argsort(np.concatenate([self._pairs, new]))
-            self._pairs = np.concatenate([self._pairs, new])[order]
-            self._products = np.concatenate([self._products, ids])[order]
+            at = np.searchsorted(self._pairs, new)
+            self._pairs = np.insert(self._pairs, at, new)
+            self._products = np.insert(self._products, at, ids)
             pos = np.searchsorted(self._pairs, codes)
         return self._products[pos]
 
@@ -386,16 +395,49 @@ def _rows_for(backend: GroupBackend, start: tuple):
 _CHUNK_KEYS = 1 << 16
 
 
-def _unique(parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct keys of the parts; empties `parts`, so that their
-    memory can go before the result is built. A plain sort: np.unique
-    hashes int64 keys in numpy 2.x and is many times slower on key arrays."""
-    keys = np.concatenate(parts)
-    parts.clear()
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+def _unique(parts: list[np.ndarray], into: np.ndarray | None = None) -> np.ndarray:
+    """Sorted distinct keys of `into` and the parts, in one array grown in
+    place; empties `parts`.
+
+    The array is `into`, which nothing else may hold (it is resized), or
+    a new one. Each part is copied in and dropped from `parts` in turn, so
+    that its memory goes as soon as the caller holds it no longer; the
+    array is then sorted, compacted in place and shrunk. The peak is the
+    grown array, the parts not yet copied and one block of _CHUNK_KEYS
+    keys: never a second copy of `into`. A plain sort: np.unique hashes
+    int64 keys in numpy 2.x and is many times slower on key arrays.
+    """
+    if into is None:
+        keys = np.concatenate(parts)
+        parts.clear()
+    else:
+        keys, end = into, len(into)
+        keys.resize(end + sum(map(len, parts)), refcheck=False)
+        while parts:
+            part = parts.pop()
+            keys[end : end + len(part)] = part
+            end += len(part)
+            del part
+    # Timsort for Python ints: it merges the sorted runs a layer is built
+    # from in few comparisons, where quicksort makes many slow ones.
+    keys.sort(kind="stable" if keys.dtype == object else None)
+    keys.resize(_compact(keys), refcheck=False)
+    return keys
+
+
+def _compact(keys: np.ndarray) -> int:
+    """Moves the distinct keys of the sorted array to its front, a block
+    of _CHUNK_KEYS at a time; returns their count."""
+    kept = 0
+    for lo in range(0, len(keys), _CHUNK_KEYS):
+        block = keys[lo : lo + _CHUNK_KEYS]
+        first = np.empty(len(block), dtype=bool)
+        first[0] = not kept or block[0] != keys[kept - 1]  # the last key kept
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        distinct = block[first]
+        keys[kept : kept + len(distinct)] = distinct
+        kept += len(distinct)
+    return kept
 
 
 def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -411,13 +453,21 @@ def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Pac
 
     Yields layer 0, then each kept layer, under bfs_layers' rules for the
     budget and for an exhausted component. The move graph is symmetric,
-    so a neighbour of layer r-1 lies in layer r-2, r-1 or r: deduplicating
-    against the two previous layers finds layer r exactly, and about three
-    layers are held. The frontier is expanded in chunks, every move of a
-    chunk at once; a layer's new keys are merged whenever the unmerged
-    ones outnumber half the merged, which bounds the memory of a layer by
-    a small multiple of its size, and the layer is abandoned as soon as
-    the merged ones exceed the budget.
+    so a neighbour of layer r-1 lies in layer r-2, r-1 or r: checking
+    against the two previous layers finds layer r exactly. The frontier
+    is expanded in chunks, every move of a chunk at once; a layer's new
+    keys are merged into one run whenever the unmerged ones outnumber
+    half the merged, and the layer is abandoned as soon as the merged
+    ones exceed the budget.
+
+    Memory: one copy of each layer is resident. While layer r is found,
+    the generator holds layer r-1 as rows, layers r-1 and r-2 as one
+    sorted key array, the chunk's arrays, and layer r's merged run, which
+    _unique grows in place. Layer r-1's keys in their own packing go once
+    they are unpacked (unless the caller keeps them), and the sorted
+    array before the last merge. Over Z from (1, 1), where layers double,
+    the peak is about 3.4x the last layer's key bytes; concatenating
+    each merge peaked at 6x.
 
     Keys never alias, because each layer's packing, chosen before the
     layer is expanded, represents every neighbour: a move adds +-g_i to
@@ -429,36 +479,44 @@ def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Pac
     keys = packing.pack(rows.start)
     yield keys, packing
     previous = rows.start[:0]
-    j, left, right = rows.moves
-    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, len(j)))
+    rows_per_chunk = max(1, _CHUNK_KEYS // max(1, rows.moves.shape[1]))
     count = 1
     for _ in range(radius):
         frontier = packing.unpack(keys)
+        del keys
         packing = rows.packing(frontier, previous)
         frontier = frontier.astype(packing.dtype, copy=False)
-        frontier_keys = packing.pack(frontier)
-        seen = _unique([frontier_keys, packing.pack(previous)])
-        parts = [frontier_keys[:0]]  # the merged new keys, then the unmerged ones
+        seen = _unique([packing.pack(previous)], packing.pack(frontier))
+        del previous
+        keys, runs = np.empty(0, dtype=packing.dtype), []  # the merged new keys, the unmerged
         for lo in range(0, len(frontier), rows_per_chunk):
-            # Slot by slot, so that each move gathers whole slots.
-            columns = np.ascontiguousarray(np.swapaxes(frontier[lo : lo + rows_per_chunk], 0, 1))
-            new = rows.images(columns, left, right)  # (moves, rows, d)
-            change = np.einsum("kNd,kd->kN", new - columns[j], packing.weights[j])
-            neighbours = frontier_keys[lo : lo + rows_per_chunk] + change
-            reached = _unique([neighbours.ravel()])
-            parts.append(reached[~_member(reached, seen)])
-            if sum(map(len, parts[1:])) > max(len(parts[0]) // 2, _CHUNK_KEYS):
-                parts = [_unique(parts)]
-                if count + len(parts[0]) > budget:
+            runs.append(_new_keys(rows, packing, frontier[lo : lo + rows_per_chunk], seen))
+            if sum(map(len, runs)) > max(len(keys) // 2, _CHUNK_KEYS):
+                keys = _unique(runs, keys)
+                if count + len(keys) > budget:
                     return
-        keys = _unique(parts)
-        if len(keys) and count + len(keys) > budget:
+        del seen
+        keys = _unique(runs, keys)
+        if count + len(keys) > budget:
             return
         count += len(keys)
         yield keys, packing
         if not len(keys):
             return
         previous = frontier
+
+
+def _new_keys(rows, packing: _Packing, chunk: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The sorted distinct neighbour keys of the frontier rows `chunk`
+    that are not in the sorted array `seen`. The chunk's arrays go on
+    return."""
+    j, left, right = rows.moves
+    # Slot by slot, so that each move gathers whole slots.
+    columns = np.ascontiguousarray(np.swapaxes(chunk, 0, 1))
+    new = rows.images(columns, left, right)  # (moves, rows, d)
+    change = np.einsum("kNd,kd->kN", new - columns[j], packing.weights[j])
+    reached = _unique([(packing.pack(chunk) + change).ravel()])
+    return reached[~_member(reached, seen)]
 
 
 @dataclass

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .words import MAX_LEVEL, TreeWord, identity, level_permutations, level_strings
 
 
@@ -65,8 +67,10 @@ def schreier(generators: tuple[TreeWord, ...], m: int) -> SchreierGraph:
     if m > MAX_LEVEL:
         raise SchreierError(f"level {m} above configured maximum {MAX_LEVEL}")
     vertices = level_strings(m)
-    # Columns follow label order: (g1, +), (g1, -), (g2, +), ...
-    out = level_permutations([h for g in generators for h in (g, g.inverse())], m).T.tolist()
+    # Columns follow label order: (g1, +), (g1, -), (g2, +), ... Taken from
+    # one object array of vertex indices, every entry shares one int per vertex.
+    perms = level_permutations([h for g in generators for h in (g, g.inverse())], m)
+    out = np.arange(2**m, dtype=object).take(perms.T).tolist()
 
     seen = {0}
     stack = [0]
@@ -110,22 +114,23 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
         raise SchreierError("graph is disconnected; no spanning walk")
     start_idx = graph.index_of(start)
     labels = graph.labels
-
-    def targets(v: int):
-        # Children scanned in order of the target index, which is the
-        # lexicographic order of equal-length strings; ties by label order.
-        return iter(sorted((w, li) for li, w in enumerate(graph.out[v])))
+    out = graph.out
+    # Children are scanned in order of the target index, which is the
+    # lexicographic order of equal-length strings; the stable sort breaks
+    # ties by label order.
+    order = np.argsort(np.array(out, dtype=np.int64), axis=1, kind="stable").tolist()
 
     visited = {start_idx}
     visits = [graph.vertices[start_idx]]
     step_labels: list[list[Label]] = []
     pending: list[Label] = []
-    # Frame: (entry label used to reach the vertex, iterator of its targets).
-    stack: list[tuple[Label | None, object]] = [(None, targets(start_idx))]
+    # Frame: (entry label used to reach the vertex, the vertex, iterator of its label indices).
+    stack: list[tuple[Label | None, int, Iterator[int]]] = [(None, start_idx, iter(order[start_idx]))]
     while stack:
-        entry, it = stack[-1]
+        entry, v, it = stack[-1]
         descended = False
-        for w, li in it:
+        for li in it:
+            w = out[v][li]
             if w in visited:
                 continue
             visited.add(w)
@@ -134,7 +139,7 @@ def spanning_walk(graph: SchreierGraph, start: str) -> SpanningWalk:
             step_labels.append(pending)
             pending = []
             visits.append(graph.vertices[w])
-            stack.append((label, targets(w)))
+            stack.append((label, w, iter(order[w])))
             descended = True
             break
         if descended:

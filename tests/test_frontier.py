@@ -5,10 +5,13 @@ interned element ids for tree groups and of coordinates for Z^d and Z_p^d,
 with int64 keys while they fit and Python ints beyond. The oracles are
 `prp.bfs_layers` for the layers (`conftest.ball_generic` for the tables)
 and the object-level walk below (the per-trial walk over element tuples
-that keyed each endpoint with `tuple_key`) for the walks.
+that keyed each endpoint with `tuple_key`) for the walks. The layer merge,
+`prp._unique`, is checked against `np.unique` of the concatenated parts.
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,13 +56,10 @@ def assert_same_walk(backend, start, steps, trials, radius, seed, budget):
 
 
 def frontier_layers(backend, start, radius, budget):
-    """The frontier's layers as sets of tuple keys, decoded from its ids."""
+    """The frontier's layers as sets of tuple keys, decoded from its rows."""
     rows = prp._rows_for(backend, start)
-    layers = []
-    for keys, packing in prp._frontier(rows, radius, budget):
-        ids = packing.unpack(keys)[:, :, 0].tolist()
-        layers.append({tuple(backend.canonical_key(rows._elements[i]) for i in row) for row in ids})
-    return layers
+    return [{decode(backend, rows, row) for row in packing.unpack(keys)}
+            for keys, packing in prp._frontier(rows, radius, budget)]
 
 
 def oracle_layers(backend, start, radius, budget):
@@ -249,3 +249,69 @@ def test_paper_scale_radius_five_row():
     table = ball(backend, start, 5)
     assert [c for _, c in table.rows] == [1, 23, 399, 6488, 98877, 1464877]
     assert not table.truncated
+
+
+@st.composite
+def key_runs(draw):
+    """(dtype, into, runs): runs of keys with few distinct values, so that
+    they overlap, as int64 or as Python ints beyond int64; `into` is a
+    run to merge into, or None."""
+    wide = draw(st.booleans())
+    dtype = object if wide else np.int64
+    bound = 2**80 if wide else 2**63
+    pool = draw(st.lists(st.integers(-bound, bound - 1), min_size=1, max_size=12))
+    run = st.lists(st.sampled_from(pool), max_size=40)
+    into = draw(st.none() | run)
+    runs = draw(st.lists(run, min_size=0 if into is not None else 1, max_size=6))
+    return dtype, into, runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_runs(), st.integers(1, 9))
+def test_unique_merges_like_np_unique(case, block):
+    # Small blocks make the in-place compaction cross block boundaries.
+    dtype, into, runs = case
+    parts = [np.array(run, dtype=dtype) for run in runs]
+    parts += [parts[0][1:]] if parts else []  # a view of an array the caller holds
+    held = [part.copy() for part in parts]
+    merged = None if into is None else prp._unique([np.array(into, dtype=dtype)])
+    before = [] if merged is None else [merged.copy()]
+    want = np.unique(np.concatenate(before + held)) if before + held else np.zeros(0, dtype)
+    with mock.patch.object(prp, "_CHUNK_KEYS", block):
+        got = prp._unique(list(parts), merged)
+    assert got.dtype == dtype
+    assert got.tolist() == want.tolist()
+    for part, copy in zip(parts, held):
+        assert part.shape == copy.shape and part.tolist() == copy.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(tree_tuples(), abelian_tuples()), st.integers(0, 3), st.integers(1, 5000))
+def test_layers_match_with_many_merges(case, radius, budget):
+    # Chunks of a row or two merge the new keys many times per layer, as
+    # only layers of more than _CHUNK_KEYS new keys do at the real size.
+    backend, start = case
+    radius = min(radius, MAX_RADIUS[len(start)])
+    want = oracle_layers(backend, start, radius, budget)
+    with mock.patch.object(prp, "_CHUNK_KEYS", 64):
+        assert frontier_layers(backend, start, radius, budget) == want
+
+
+def test_frontier_peak_memory_is_a_few_layers():
+    # Layers of this Z ball double. The peak covers the frontier's rows, the
+    # two previous layers' keys, a chunk's arrays and the new layer's run
+    # while it grows, and no second copy of any layer: about 3.4x the last
+    # layer's key bytes, where concatenating each merge peaked near 6x.
+    z1 = FreeAbelianBackend(1)
+    rows = prp._rows_for(z1, (z1.element((1,)), z1.element((1,))))
+    tracemalloc.start()
+    try:
+        for keys, _ in prp._frontier(rows, 18, 10**9):
+            last = keys.nbytes
+            del keys  # hold no layer while the next one is found
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert last == 8 * 589_824
+    assert peak <= 4.0 * last
+
