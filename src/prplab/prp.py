@@ -399,29 +399,31 @@ def _unique(parts: list[np.ndarray], into: np.ndarray | None = None) -> np.ndarr
     """Sorted distinct keys of `into` and the parts, in one array grown in
     place; empties `parts`.
 
-    The array is `into`, which nothing else may hold (it is resized), or
-    a new one. Each part is copied in and dropped from `parts` in turn, so
-    that its memory goes as soon as the caller holds it no longer; the
-    array is then sorted, compacted in place and shrunk. The peak is the
-    grown array, the parts not yet copied and one block of _CHUNK_KEYS
-    keys: never a second copy of `into`. A plain sort: np.unique hashes
-    int64 keys in numpy 2.x and is many times slower on key arrays.
+    The array is `into` or a new one. `into` is resized without a
+    reference check, so nothing else may hold it or a view of it: a view
+    would dangle. Each part is copied in and dropped from `parts` in
+    turn, so that its memory goes as soon as the caller holds it no
+    longer; the array is then sorted, compacted in place and shrunk. The
+    peak is the grown array, the parts not yet copied and one block of
+    _CHUNK_KEYS keys: never a second copy of `into`. A plain sort:
+    np.unique hashes int64 keys in numpy 2.x and is many times slower
+    on key arrays.
     """
-    if into is None:
-        keys = np.concatenate(parts)
-        parts.clear()
-    else:
-        keys, end = into, len(into)
-        keys.resize(end + sum(map(len, parts)), refcheck=False)
-        while parts:
-            part = parts.pop()
-            keys[end : end + len(part)] = part
-            end += len(part)
-            del part
+    keys = into if into is not None else np.empty(0, dtype=parts[0].dtype)
+    end = len(keys)
+    keys.resize(end + sum(map(len, parts)), refcheck=False)
+    while parts:
+        part = parts.pop()
+        keys[end : end + len(part)] = part
+        end += len(part)
+        del part
     # Timsort for Python ints: it merges the sorted runs a layer is built
     # from in few comparisons, where quicksort makes many slow ones.
     keys.sort(kind="stable" if keys.dtype == object else None)
-    keys.resize(_compact(keys), refcheck=False)
+    kept = _compact(keys)
+    if keys.dtype == object:
+        keys[kept:] = None  # release the dropped ints whatever the shrink does
+    keys.resize(kept, refcheck=False)
     return keys
 
 
@@ -486,6 +488,7 @@ def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Pac
         del keys
         packing = rows.packing(frontier, previous)
         frontier = frontier.astype(packing.dtype, copy=False)
+        # Each array passed as `into` is one that only the merge holds.
         seen = _unique([packing.pack(previous)], packing.pack(frontier))
         del previous
         keys, runs = np.empty(0, dtype=packing.dtype), []  # the merged new keys, the unmerged

@@ -10,6 +10,7 @@ that keyed each endpoint with `tuple_key`) for the walks. The layer merge,
 """
 
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -283,6 +284,17 @@ def test_unique_merges_like_np_unique(case, block):
     assert got.tolist() == want.tolist()
     for part, copy in zip(parts, held):
         assert part.shape == copy.shape and part.tolist() == copy.tolist()
+
+
+def test_unique_holds_no_dropped_wide_keys():
+    # The duplicates compacted away and the merged parts leave no
+    # reference behind in the shrunk array.
+    wide = 2**90 + 1
+    baseline = sys.getrefcount(wide)
+    parts = [np.array([wide] * 50 + [1], dtype=object) for _ in range(3)]
+    merged = prp._unique(parts, prp._unique([np.array([wide] * 9, dtype=object)]))
+    assert merged.tolist() == [1, wide]
+    assert sys.getrefcount(wide) == baseline + 1
 
 
 @settings(max_examples=30, deadline=None)
