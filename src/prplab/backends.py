@@ -21,7 +21,7 @@ from math import gcd
 from typing import Hashable, Sequence
 
 from .omega import OmegaSequence
-from .words import Portraits, TreeWord, identity as word_identity
+from .words import TreeWord, identity as word_identity, portraits
 
 
 class BackendError(ValueError):
@@ -260,14 +260,14 @@ class TreeBackend(GroupBackend):
 
     canonical_key is the word's minimal portrait (words.Portraits), an
     exact key: equal keys iff equal elements. The portraits are memoized
-    per backend.
+    once per sequence (words.portraits), shared by every backend over it.
     """
 
     def __init__(self, omega: OmegaSequence):
         self.omega = omega
         self._identity = word_identity(omega)
         # The key memo; perfbench/worker.py reports its size under this name.
-        self._perm_cache = Portraits(omega)
+        self._perm_cache = portraits(omega)
 
     @property
     def identity(self) -> TreeWord:

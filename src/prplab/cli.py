@@ -17,20 +17,19 @@ from pathlib import Path
 from . import __version__
 from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend, TreeBackend
 from .certificates import (
-    CertificateError,
     build_certificate,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
 )
-from .growth import GrowthError, growth_report
-from .grpfile import GrpParseError, LoweredExplicit, LoweredFamily, parse as parse_grp, validate_and_lower
+from .growth import growth_report
+from .grpfile import GrpParseError, parse as parse_grp
 from .omega import CLASSICAL_OMEGA, OmegaSequence
-from .prp import PrpError, ball, ball_to_dot, components_finite
+from .prp import ball, ball_to_dot, components_finite
 from .randomwalk import rw_speed
-from .schreier import SchreierError, schreier, spanning_walk, walk_elements
+from .schreier import schreier, spanning_walk, walk_elements
 from .witnesses import NoWitnessError, check_ad_order, relabel_for_d, verify_classical, verify_general
-from .words import MAX_LEVEL, WordError, word
+from .words import MAX_LEVEL, word
 
 USAGE_ERROR = 1
 VERIFY_FAIL = 2
@@ -53,13 +52,12 @@ def _omega_from_args(args) -> OmegaSequence:
         name = getattr(args, "group", None)
         if not name:
             raise CliError("--grp needs --group NAME to pick a declaration")
-        lowered = validate_and_lower(spec)
-        if name not in lowered:
+        group = next((g for g in spec.groups if g.name == name), None)
+        if group is None:
             raise CliError(f"group {name!r} not declared in {args.grp}")
-        target = lowered[name]
-        if isinstance(target, LoweredExplicit):
+        if group.family_omega is None:
             raise CliError(f"group {name!r} is an explicit recursion; this command needs a family group")
-        return target.omega
+        return spec.omega_named(group.family_omega)
     prefix = getattr(args, "prefix", "") or ""
     cycle = getattr(args, "omega", None)
     if cycle:
@@ -316,15 +314,13 @@ def _cmd_parse_check(args) -> int:
         return USAGE_ERROR
     try:
         spec = parse_grp(text)
-        lowered = validate_and_lower(spec)
     except GrpParseError as exc:
         print(f"status=INVALID")
         print(f"diagnostic={exc}")
         return VERIFY_FAIL
     print("status=OK")
-    for name, target in lowered.items():
-        kind = "family" if isinstance(target, LoweredFamily) else "explicit"
-        print(f"group={name} kind={kind}")
+    for group in spec.groups:
+        print(f"group={group.name} kind={'explicit' if group.family_omega is None else 'family'}")
     return 0
 
 
@@ -470,18 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        WordError,
-        SchreierError,
-        PrpError,
-        GrowthError,
-        CertificateError,
-        GrpParseError,
-        NoWitnessError,
-        CliError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,20 +11,28 @@ case-sensitive):
 
 Quoted strings hold sequence letters and must stay inside {b,c,d}; the
 cycle string must be nonempty. Names are alphanumeric and unique across
-the file. Family groups lower to a defining sequence with the standard
-four generators. Explicit groups are parsed and validated, and lower to
-their generator declarations; no command computes in them (the tests'
-wreath-recursion oracle does).
+the file. `parse` resolves and checks every reference, and gives each
+group the name of its defining sequence (a family group, with the four
+standard generators) or its generator declarations (an explicit group,
+in which no command computes; the tests' wreath-recursion oracle does).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .omega import BCD, OmegaSequence
 
 KEYWORDS = {"omega", "group", "gen", "grigorchuk", "swap", "id"}
-PUNCT = "=(){},*"
+
+# One token per match. A name is a run of str.isalnum characters, which
+# [^\W_] matches exactly; "bad" is any other character, a lone '"' among
+# them (a string that meets a newline or the end of the text).
+_TOKEN = re.compile(
+    r'(?P<newline>\n)|[ \t\r]+|#[^\n]*|"(?P<quoted>[^"\n]*)"'
+    r"|(?P<punct>[=(){},*])|(?P<name>[^\W_]+)|(?P<bad>.)"
+)
 
 
 class GrpParseError(ValueError):
@@ -45,56 +53,20 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise GrpParseError(start_line, start_col, "unterminated string")
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise GrpParseError(start_line, start_col, "unterminated string")
-            i += 1
-            col += 1
-            tokens.append(Token("quoted", "".join(buf), start_line, start_col))
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum():
-            start_col = col
-            buf = []
-            while i < n and text[i].isalnum():
-                buf.append(text[i])
-                i += 1
-                col += 1
-            tokens.append(Token("name", "".join(buf), line, start_col))
-            continue
-        raise GrpParseError(line, col, f"unexpected character {ch!r}")
+        col = match.start() - line_start + 1
+        value = match[kind]
+        if kind == "bad":
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            raise GrpParseError(line, col, message)
+        tokens.append(Token(value if kind == "punct" else kind, value, line, col))
     return tokens
 
 
@@ -148,28 +120,21 @@ class _Parser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("name", "", 1, 1)
+            # parse only reads past a first token, so there is a last one.
+            last = self.tokens[-1]
             raise GrpParseError(last.line, last.col, "unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
+        """The next token, of this kind (and text); `what` names it in the diagnostic."""
         tok = self.next()
-        if tok.kind != kind or (what is not None and tok.text != what):
-            expected = what or kind
-            raise GrpParseError(tok.line, tok.col, f"expected {expected!r}, got {tok.text!r}")
-        return tok
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "name" or tok.text != word:
-            raise GrpParseError(tok.line, tok.col, f"expected {word!r}, got {tok.text!r}")
+        if tok.kind != kind or text not in (None, tok.text):
+            raise GrpParseError(tok.line, tok.col, f"expected {what or repr(text or kind)}, got {tok.text!r}")
         return tok
 
     def expect_name(self) -> Token:
-        tok = self.next()
-        if tok.kind != "name":
-            raise GrpParseError(tok.line, tok.col, f"expected a name, got {tok.text!r}")
+        tok = self.expect("name", what="a name")
         if tok.text in KEYWORDS:
             raise GrpParseError(tok.line, tok.col, f"{tok.text!r} is a keyword, not a name")
         return tok
@@ -180,127 +145,76 @@ def parse(text: str) -> GroupSpecFile:
     parser = _Parser(_tokenize(text))
     omegas: list[OmegaDecl] = []
     groups: list[GroupDecl] = []
-    names: dict[str, tuple[int, int]] = {}
-
-    def claim_name(tok: Token) -> None:
-        if tok.text in names:
-            line, col = names[tok.text]
-            raise GrpParseError(
-                tok.line, tok.col, f"duplicate name {tok.text!r} (first declared at line {line})"
-            )
-        names[tok.text] = (tok.line, tok.col)
-
+    first_line: dict[str, int] = {}
     while (tok := parser.peek()) is not None:
-        if tok.kind == "name" and tok.text == "omega":
-            parser.next()
-            name = parser.expect_name()
-            claim_name(name)
-            parser.expect("=")
-            prefix = parser.expect("quoted")
-            parser.expect("(")
-            cycle = parser.expect("quoted")
-            parser.expect(")")
-            parser.expect("*")
-            for quoted in (prefix, cycle):
-                bad = next((ch for ch in quoted.text if ch not in BCD), None)
-                if bad is not None:
-                    raise GrpParseError(
-                        quoted.line, quoted.col, f"sequence letter {bad!r} outside {{b,c,d}}"
-                    )
-            if not cycle.text:
-                raise GrpParseError(cycle.line, cycle.col, "cycle must be nonempty")
-            omegas.append(
-                OmegaDecl(name.text, OmegaSequence(prefix.text, cycle.text), name.line, name.col)
-            )
-        elif tok.kind == "name" and tok.text == "group":
-            parser.next()
-            name = parser.expect_name()
-            claim_name(name)
-            nxt = parser.next()
-            if nxt.kind == "=":
-                parser.expect_keyword("grigorchuk")
-                parser.expect("(")
-                ref = parser.expect_name()
-                parser.expect(")")
-                groups.append(GroupDecl(name.text, ref.text, (), name.line, name.col))
-                if not any(o.name == ref.text for o in omegas):
-                    raise GrpParseError(ref.line, ref.col, f"unresolved sequence name {ref.text!r}")
-            elif nxt.kind == "{":
-                gens: list[GenDecl] = []
-                gen_names: dict[str, tuple[int, int]] = {}
-                ref_tokens: list[Token] = []
-                while True:
-                    tok2 = parser.peek()
-                    if tok2 is not None and tok2.kind == "}":
-                        parser.next()
-                        break
-                    kw = parser.expect_keyword("gen")
-                    gname = parser.expect_name()
-                    if gname.text in gen_names:
-                        raise GrpParseError(
-                            gname.line, gname.col, f"duplicate generator {gname.text!r}"
-                        )
-                    gen_names[gname.text] = (gname.line, gname.col)
-                    parser.expect("=")
-                    head = parser.next()
-                    if head.kind == "name" and head.text == "swap":
-                        gens.append(GenDecl(gname.text, "swap", None, None, gname.line, gname.col))
-                    elif head.kind == "(":
-                        left = _ref(parser)
-                        parser.expect(",")
-                        right = _ref(parser)
-                        parser.expect(")")
-                        ref_tokens.extend((left[1], right[1]))
-                        gens.append(
-                            GenDecl(gname.text, "pair", left[0], right[0], gname.line, gname.col)
-                        )
-                    else:
-                        raise GrpParseError(
-                            head.line, head.col, f"expected 'swap' or '(', got {head.text!r}"
-                        )
-                if not gens:
-                    raise GrpParseError(nxt.line, nxt.col, "group body declares no generators")
-                declared = {g.name for g in gens}
-                for tok_ref in ref_tokens:
-                    if tok_ref.text != "id" and tok_ref.text not in declared:
-                        raise GrpParseError(
-                            tok_ref.line,
-                            tok_ref.col,
-                            f"unresolved generator reference {tok_ref.text!r}",
-                        )
-                groups.append(GroupDecl(name.text, None, tuple(gens), name.line, name.col))
-            else:
-                raise GrpParseError(nxt.line, nxt.col, f"expected '=' or '{{', got {nxt.text!r}")
-        else:
+        if tok.kind != "name" or tok.text not in ("omega", "group"):
             raise GrpParseError(tok.line, tok.col, f"expected 'omega' or 'group', got {tok.text!r}")
-
+        parser.next()
+        name = parser.expect_name()
+        if name.text in first_line:
+            message = f"duplicate name {name.text!r} (first declared at line {first_line[name.text]})"
+            raise GrpParseError(name.line, name.col, message)
+        first_line[name.text] = name.line
+        if tok.text == "omega":
+            omegas.append(_omega_decl(parser, name))
+        else:
+            groups.append(_group_decl(parser, name, {o.name for o in omegas}))
     return GroupSpecFile(tuple(omegas), tuple(groups))
 
 
-def _ref(parser: _Parser) -> tuple[str, Token]:
-    tok = parser.next()
-    if tok.kind != "name":
-        raise GrpParseError(tok.line, tok.col, f"expected a generator reference, got {tok.text!r}")
-    return tok.text, tok
+def _omega_decl(parser: _Parser, name: Token) -> OmegaDecl:
+    parser.expect("=")
+    prefix = parser.expect("quoted")
+    parser.expect("(")
+    cycle = parser.expect("quoted")
+    parser.expect(")")
+    parser.expect("*")
+    for quoted in (prefix, cycle):
+        bad = next((ch for ch in quoted.text if ch not in BCD), None)
+        if bad is not None:
+            raise GrpParseError(quoted.line, quoted.col, f"sequence letter {bad!r} outside {{b,c,d}}")
+    if not cycle.text:
+        raise GrpParseError(cycle.line, cycle.col, "cycle must be nonempty")
+    return OmegaDecl(name.text, OmegaSequence(prefix.text, cycle.text), name.line, name.col)
 
 
-@dataclass(frozen=True)
-class LoweredFamily:
-    omega: OmegaSequence
-
-
-@dataclass(frozen=True)
-class LoweredExplicit:
-    gens: tuple[GenDecl, ...]
-
-
-def validate_and_lower(spec: GroupSpecFile) -> dict[str, LoweredFamily | LoweredExplicit]:
-    """Resolve every group declaration: a family group to its sequence, an
-    explicit group to its generator declarations."""
-    out: dict[str, LoweredFamily | LoweredExplicit] = {}
-    for group in spec.groups:
-        if group.family_omega is not None:
-            out[group.name] = LoweredFamily(spec.omega_named(group.family_omega))
+def _group_decl(parser: _Parser, name: Token, omega_names: set[str]) -> GroupDecl:
+    opener = parser.next()
+    if opener.kind == "=":
+        parser.expect("name", "grigorchuk")
+        parser.expect("(")
+        ref = parser.expect_name()
+        parser.expect(")")
+        if ref.text not in omega_names:
+            raise GrpParseError(ref.line, ref.col, f"unresolved sequence name {ref.text!r}")
+        return GroupDecl(name.text, ref.text, (), name.line, name.col)
+    if opener.kind != "{":
+        raise GrpParseError(opener.line, opener.col, f"expected '=' or '{{', got {opener.text!r}")
+    gens: list[GenDecl] = []
+    refs: list[Token] = []
+    while (tok := parser.peek()) is None or tok.kind != "}":
+        parser.expect("name", "gen")
+        gen = parser.expect_name()
+        if any(g.name == gen.text for g in gens):
+            raise GrpParseError(gen.line, gen.col, f"duplicate generator {gen.text!r}")
+        parser.expect("=")
+        head = parser.next()
+        if head.kind == "name" and head.text == "swap":
+            gens.append(GenDecl(gen.text, "swap", None, None, gen.line, gen.col))
+        elif head.kind == "(":
+            left = parser.expect("name", what="a generator reference")
+            parser.expect(",")
+            right = parser.expect("name", what="a generator reference")
+            parser.expect(")")
+            refs += (left, right)
+            gens.append(GenDecl(gen.text, "pair", left.text, right.text, gen.line, gen.col))
         else:
-            out[group.name] = LoweredExplicit(group.gens)
-    return out
+            raise GrpParseError(head.line, head.col, f"expected 'swap' or '(', got {head.text!r}")
+    parser.next()
+    if not gens:
+        raise GrpParseError(opener.line, opener.col, "group body declares no generators")
+    declared = {g.name for g in gens}
+    for ref in refs:
+        if ref.text != "id" and ref.text not in declared:
+            raise GrpParseError(ref.line, ref.col, f"unresolved generator reference {ref.text!r}")
+    return GroupDecl(name.text, None, tuple(gens), name.line, name.col)

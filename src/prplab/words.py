@@ -306,7 +306,9 @@ def identity(omega: OmegaSequence, offset: int = 0) -> TreeWord:
 
 def word(omega: OmegaSequence, raw: str, offset: int = 0) -> TreeWord:
     """Reduce a raw letter sequence into a TreeWord."""
-    return TreeWord(omega, offset, reduce_letters(raw))
+    if offset < 0:
+        raise WordError("offset must be nonnegative")
+    return _reduced(omega, offset, reduce_letters(raw))
 
 
 def level_strings(m: int) -> list[str]:

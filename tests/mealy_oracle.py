@@ -7,9 +7,9 @@ generators or the identity, optionally composed with a top swap. Unlike
 the family groups handled by words.py, nothing here guarantees
 contraction, so the identity test only claims a verdict up to a depth --
 unless the section-state graph closes on itself, in which case triviality
-is exact. Explicit groups of a .grp file lower to their generator
-declarations (grpfile.GenDecl); mealy_from_decls turns those into a
-definition.
+is exact. grpfile.parse gives each explicit group of a .grp file its
+generator declarations (GroupDecl.gens, a tuple of grpfile.GenDecl);
+mealy_from_decls turns those into a definition.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MealyDef:
 
 
 def mealy_from_decls(decls) -> MealyDef:
-    """The definition of an explicit group's lowered GenDecl tuple."""
+    """The definition of an explicit group's GenDecl tuple (GroupDecl.gens)."""
     gens: dict[str, MealyGenerator] = {}
     for g in decls:
         if g.kind == "swap":

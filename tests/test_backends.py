@@ -16,7 +16,7 @@ from prplab.backends import (
 )
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.witnesses import classical_t
-from prplab.words import word
+from prplab.words import portraits, word
 
 
 def _backend_contract(backend, elements, rng):
@@ -70,6 +70,12 @@ def test_tree_backend_key_is_exact():
     g = classical_t(7)
     assert len(g.letters) == 512 and g.fixes_level(7) and not g.is_identity()
     assert backend.canonical_key(g) != backend.canonical_key(backend.identity)
+
+
+def test_tree_backends_share_the_portrait_memo():
+    # one portrait memo per sequence, words.portraits, behind every key
+    first, second = TreeBackend(CLASSICAL_OMEGA), TreeBackend(CLASSICAL_OMEGA)
+    assert first._perm_cache is second._perm_cache is portraits(CLASSICAL_OMEGA)
 
 
 class TestAbelianGeneration:

@@ -13,7 +13,7 @@ from prplab import cli
 from prplab.certificates import build_certificate, serialize_certificate
 from prplab.cli import main
 from prplab.omega import CLASSICAL_OMEGA
-from test_cli_reach import command_lines
+from test_cli_reach import GRP, command_lines
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,7 @@ _ZD = ["prp", "ball", "--group", "zd", "--start", "1;1"]
     ["cert", "build", "--omega", "db", "--m", "15"],
     ["schreier", "--m", "15"],
     ["walk", "--m", "15"],
+    ["cert", "build", "--m", "2", "--base", "a;b;c"],
 ])
 def test_usage_errors_leave_stdout_empty(capsys, argv):
     # inputs are checked, or the report computed, before the first line is printed
@@ -280,16 +281,32 @@ def test_rw_speed_deterministic_across_threads(capsys):
 
 def test_parse_check(capsys, tmp_path):
     good = tmp_path / "good.grp"
-    good.write_text('omega w = ""("dcb")*\ngroup G = grigorchuk(w)\n')
+    good.write_text(GRP)
     code, out, _ = run_cli(capsys, "parse", "check", str(good))
     assert code == 0
-    assert "status=OK" in out and "group=G kind=family" in out
+    assert out.splitlines() == ["status=OK", "group=G kind=family", "group=H kind=explicit"]
 
     bad = tmp_path / "bad.grp"
     bad.write_text('omega w = ""("")*\n')
     code, out, _ = run_cli(capsys, "parse", "check", str(bad))
     assert code == 2
     assert "diagnostic=" in out and "line 1" in out
+
+
+@pytest.mark.parametrize("text,group", [
+    (GRP, None),  # --grp without --group
+    (GRP, "K"),  # not declared
+    (GRP, "H"),  # an explicit group
+    ('omega w = ""("")*\n', "G"),  # malformed
+])
+def test_grp_front_door_errors(capsys, tmp_path, text, group):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    argv = ["element", "act", "--word", "ab", "--string", "11", "--grp", str(path)]
+    code, out, err = run_cli(capsys, *argv, *(["--group", group] if group else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_ad_order_command(capsys):

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import random_omega, random_word
+from prplab import words
 from prplab.omega import OmegaSequence
 from prplab.witnesses import classical_t
 from prplab.words import (
@@ -39,6 +40,17 @@ class TestReduce:
         assert reduce_letters("cd") == "b"
         assert reduce_letters("db") == "c"
         assert reduce_letters("bb") == reduce_letters("cc") == reduce_letters("dd") == ""
+
+    def test_word_reduces_once(self, classical, monkeypatch):
+        calls = []
+        monkeypatch.setattr(words, "reduce_letters", lambda raw: calls.append(raw) or reduce_letters(raw))
+        assert word(classical, "abcab").letters == "adab"
+        assert calls == ["abcab"]
+        with pytest.raises(WordError, match="offset"):
+            word(classical, "ab", offset=-1)
+        # Direct construction still checks its letters.
+        with pytest.raises(WordError, match="not reduced"):
+            TreeWord(classical, 0, "aa")
 
     def test_reduced_form_invariant(self, rng):
         # no aa, no adjacent letters from bcd
