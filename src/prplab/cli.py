@@ -23,7 +23,6 @@ from .certificates import (
     verify_certificate,
 )
 from .growth import growth_report
-from .grpfile import GrpParseError, parse as parse_grp
 from .omega import CLASSICAL_OMEGA, OmegaSequence
 from .prp import ball, ball_to_dot, components_finite
 from .randomwalk import rw_speed
@@ -48,6 +47,8 @@ class CliError(Exception):
 
 def _omega_from_args(args) -> OmegaSequence:
     if getattr(args, "grp", None):
+        from .grpfile import parse as parse_grp  # only a --grp run compiles the parser
+
         spec = parse_grp(Path(args.grp).read_text(encoding="utf-8"))
         name = getattr(args, "group", None)
         if not name:
@@ -307,6 +308,8 @@ def _cmd_rw_speed(args) -> int:
 
 
 def _cmd_parse_check(args) -> int:
+    from .grpfile import GrpParseError, parse as parse_grp
+
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:

@@ -17,8 +17,11 @@ at most 2^b of them, so every partial sum is an integer below 2^53:
 float64 computes every print exactly, in any summation order. Equal
 permutations get equal prints, and distinct prints mean distinct
 products. The print is linear in P, so the prints of all left-half times
-right-half products are one dense matrix product (see
-`check_cubic_bruteforce`).
+right-half products are one dense matrix product of the left half's
+products against weights gathered through the right half's inverses (see
+`check_cubic_bruteforce`). The prints are sorted and neighbours compared;
+only when two prints meet are they argsorted into runs, and each run is
+settled by the products' portrait keys.
 
 The certificate verifier runs the brute-force route for k <= 16 and
 proves the support condition by transport instead of computing it, so
@@ -35,7 +38,7 @@ import numpy as np
 from .words import TreeWord, WordError, identity, level_permutations, portraits
 
 BRUTE_FORCE_CAP = 16
-_BLOCK = 1 << 18  # float64 entries of one operand block of the print product
+_BLOCK = 1 << 16  # entries of one block of weights or widened indices: one row at level 16
 
 
 class CubeError(ValueError):
@@ -59,7 +62,8 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     With the members split into halves, each product is left[i] . right[j],
     the map x -> left[i][right[j][x]], and its print is
     sum_x w[x] left[i][right[j][x]] = sum_y w[right[j]^-1[y]] left[i][y]:
-    left times the transposed matrix of inversely permuted weights.
+    left times the transposed matrix of weights gathered through the
+    right half's inverses, which `_halves` builds as such.
     """
     k = len(elements)
     if k > BRUTE_FORCE_CAP:
@@ -72,52 +76,73 @@ def check_cubic_bruteforce(elements: list[TreeWord], fingerprint_level: int = 7)
     if any(g.omega != omega or g.offset != offset for g in elements):
         raise CubeError("elements mix defining sequences or offsets; their products are undefined")
 
-    perms = level_permutations(elements, fingerprint_level)
-    n = perms.shape[1]
-    # Row r of a half is the ordered product of its members whose bits are set in r:
-    # rows 2^j..2^(j+1)-1 gather member j into rows 0..2^j-1, in place ("clip" needs no buffer).
-    left, right = (np.empty((1 << h, n), perms.dtype) for h in (k // 2, k - k // 2))
-    for out, half in ((left, perms[:k // 2]), (right, perms[k // 2:])):
-        out[0] = np.arange(n)
-        for j, p in enumerate(half):
-            np.take(out[:1 << j], p, axis=1, out=out[1 << j:2 << j], mode="clip")
-
-    # Only runs of equal prints are settled, each in one pass over exact
-    # keys: the products share an offset, so equal keys mean equal elements.
-    prints = _prints(left, right).ravel()
-    order = np.argsort(prints)
-    ranked = prints[order]
-    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    left, inverses = _halves(level_permutations(elements, fingerprint_level))
+    prints = _prints(left, inverses).ravel()
+    # Distinct prints prove distinct products. Only runs of equal prints are
+    # settled, each in one pass over exact keys: the products share an
+    # offset, so equal keys mean equal elements.
+    ranked = np.sort(prints)
+    meets = ranked[1:] == ranked[:-1]
+    if not meets.any():
+        return True
+    order = np.argsort(prints)  # prints[order] is ranked
+    starts = np.flatnonzero(np.concatenate([[True], ~meets]))
     sizes = np.diff(starts, append=len(ranked))
     keys = portraits(omega)
     for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         group = order[start:start + size].tolist()
-        words = [_subset_product(elements, r // len(right) | r % len(right) << k // 2) for r in group]
+        words = [_subset_product(elements, r // len(inverses) | r % len(inverses) << k // 2) for r in group]
         if len({keys.key(w) for w in words}) < size:
             return False
     return True
 
 
-def _prints(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """prints[i, j], the print of left[i] . right[j]: the sum over y of
-    left[i, y] * weights[j, y], where weights[j, right[j, x]] = w[x].
+def _halves(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, inverses) for the k members' permutations `perms`: left[r] is
+    the ordered product of the first k // 2 members whose bits are set in
+    r, and inverses[r] the inverse of the ordered product of the other
+    members picked by r.
 
-    Each operand block holds at most _BLOCK float64 entries, and the
-    product runs in np.einsum on the calling thread, not BLAS: on a
-    2-vCPU host an unpinned BLAS float64 product of 256x256x256 wakes a
-    second thread and costs more CPU than the einsum, and exactness
-    needs no BLAS."""
+    Rows 2^j..2^(j+1)-1 of a half are gathered from rows 0..2^j-1 through
+    member j in place ("clip" needs no buffer): left[r + 2^j] is
+    left[r] . p_j, the map x -> left[r][p_j[x]], and inverses[r + 2^j] is
+    p_j^-1 . inverses[r], the member's inverse being one scatter of arange.
+    np.take widens its indices to intp, so the inverses are gathered a
+    block of at most _BLOCK of them at a time.
+    """
+    k, n = perms.shape
+    step = max(1, _BLOCK // n)
+    left, inverses = (np.empty((1 << h, n), perms.dtype) for h in (k // 2, k - k // 2))
+    left[0] = inverses[0] = np.arange(n)
+    for j, p in enumerate(perms[:k // 2]):
+        np.take(left[:1 << j], p, axis=1, out=left[1 << j:2 << j], mode="clip")
+    for j, p in enumerate(perms[k // 2:]):
+        inverse = np.empty_like(p)
+        inverse[p] = inverses[0]
+        for lo in range(0, 1 << j, step):
+            hi = min(lo + step, 1 << j)
+            np.take(inverse, inverses[lo:hi], out=inverses[(1 << j) + lo:(1 << j) + hi], mode="clip")
+    return left, inverses
+
+
+def _prints(left: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """prints[i, j], the print of left[i] . right[j] where inverses[j] is
+    right[j]^-1: the sum over y of left[i, y] * w[inverses[j, y]].
+
+    The weights are gathered for a block of at most _BLOCK float64 entries
+    at a time (one gather, w[inverses[block]]) and multiplied into their
+    columns of the one prints array. `left` goes in as it is: np.einsum
+    casts its integer entries to float64 in small buffers of its own. The
+    product runs in np.einsum on the calling thread, not BLAS: on a 2-vCPU
+    host an unpinned BLAS float64 product of 256x256x256 wakes a second
+    thread and costs more CPU than the einsum, and exactness needs no
+    BLAS."""
     n = left.shape[1]
     w = _weights(n)
     step = max(1, _BLOCK // n)
-    prints = np.empty((len(left), len(right)))
-    for j in range(0, len(right), step):
-        block = right[j:j + step]
-        weights = np.empty(block.shape)
-        np.put_along_axis(weights, block, w[None, :], axis=1)
-        for i in range(0, len(left), step):
-            rows = left[i:i + step].astype(np.float64)
-            prints[i:i + step, j:j + step] = np.einsum("iy,jy->ij", rows, weights)
+    prints = np.empty((len(left), len(inverses)))
+    for j in range(0, len(inverses), step):
+        np.einsum("iy,jy->ij", left, w[inverses[j:j + step]], out=prints[:, j:j + step])
     return prints
 
 

@@ -3,10 +3,11 @@ import random
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from prplab import prp
+from prplab import cubes, prp
 from prplab.backends import TreeBackend
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers, moves_for
@@ -102,6 +103,23 @@ def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:
             table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
     table.truncated = table.complete_radius < radius
     return table
+
+
+def scatter_prints(perms: np.ndarray) -> np.ndarray:
+    """prints[i, j], the print of left[i] . right[j] for the subset products
+    of the two halves of the members' level permutations `perms`, by the
+    scatter route: weights[j, right[j, x]] = w[x], then one einsum of left
+    against them. The oracle of cubes._halves and cubes._prints, which
+    gather the weights through the right half's inverses instead."""
+    k, n = perms.shape
+    left, right = (np.empty((1 << h, n), perms.dtype) for h in (k // 2, k - k // 2))
+    for out, half in ((left, perms[:k // 2]), (right, perms[k // 2:])):
+        out[0] = np.arange(n)
+        for j, p in enumerate(half):
+            np.take(out[:1 << j], p, axis=1, out=out[1 << j:2 << j], mode="clip")
+    weights = np.empty(right.shape)
+    np.put_along_axis(weights, right, cubes._weights(n)[None, :], axis=1)
+    return np.einsum("iy,jy->ij", left.astype(np.float64), weights)
 
 
 def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk) -> list[TreeWord]:

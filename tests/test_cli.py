@@ -2,7 +2,9 @@ import contextlib
 import functools
 import io
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,15 @@ def test_parse_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "parse", "check", str(bad))
     assert code == 2
     assert "diagnostic=" in out and "line 1" in out
+
+
+def test_cli_import_leaves_grp_parser_out():
+    # Only --grp and parse check read a .grp file; no other command should
+    # compile the parser at start-up. A fresh interpreter, since this one
+    # may have imported it already.
+    src = str(Path(cli.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import prplab.cli; sys.exit('prplab.grpfile' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("text,group", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -5,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_family
+from conftest import conjugate_family, scatter_prints
 
 from prplab import cubes
 from prplab.cubes import CubeError, check_cubic_bruteforce, check_cubic_by_support
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.schreier import schreier, spanning_walk
 from prplab.witnesses import witness_for
-from prplab.words import TreeWord, identity, level_strings, word
+from prplab.words import TreeWord, identity, level_permutations, level_strings, portraits, word
 
 DB_OMEGA = OmegaSequence("", "db")
 
@@ -94,6 +95,21 @@ def families(draw):
 @example(family=[word(DB_OMEGA, w) for w in ("ca", "bad", "ca")], level=16)
 def test_bruteforce_matches_recursive_oracle(family, level):
     assert check_cubic_bruteforce(family, level) is bruteforce_oracle(family, level)
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=families(), level=st.integers(0, 16))
+@example(family=[word(CLASSICAL_OMEGA, w) for w in ("b", "adad", "dada", "b")], level=16)
+@example(family=[word(DB_OMEGA, w, 1) for w in ("ca", "ca", "bad", "")], level=0)
+@example(family=[word(CLASSICAL_OMEGA, w) for w in ("ac", "d", "ba", "ac", "da", "c", "ab")], level=9)
+def test_prints_match_scatter_oracle(family, level):
+    # Every print equals the scatter route's, entry for entry. The verdict,
+    # on the tie path too, is that of the exact keys of all 2^k products.
+    perms = level_permutations(family, level)
+    assert np.array_equal(cubes._prints(*cubes._halves(perms)), scatter_prints(perms))
+    keys = portraits(family[0].omega)
+    products = {keys.key(cubes._subset_product(family, r)) for r in range(2 ** len(family))}
+    assert check_cubic_bruteforce(family, level) is (len(products) == 2 ** len(family))
 
 
 class TestBruteForce:
@@ -195,6 +211,34 @@ def test_spoiled_m4_family_is_not_cubic(monkeypatch, block, spoil):
         family[5] = family[2] * family[9]
     monkeypatch.setattr(cubes, "_BLOCK", block)
     assert check_cubic_bruteforce(family, fingerprint_level=8) is False
+
+
+def test_m4_check_peak_memory():
+    # The m = 4 family (k = 16, level 8) holds its 2^16 prints (512 KiB),
+    # one block of weights (512 KiB) and the two halves (64 KiB each). The
+    # scatter route with an argsort of every print peaked at 3.13 MiB.
+    family = family_at_level(4)
+    tracemalloc.start()
+    try:
+        assert check_cubic_bruteforce(family, fingerprint_level=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+
+
+def test_halves_widen_indices_a_block_at_a_time():
+    # np.take widens its indices to 8-byte intp. At level 12 the last right
+    # member's gather reads 128 rows of 4096 indices: 4 MiB if taken at
+    # once, beside the 4 MiB of the two halves themselves.
+    perms = level_permutations(family_at_level(4), 12)
+    tracemalloc.start()
+    try:
+        left, inverses = cubes._halves(perms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < left.nbytes + inverses.nbytes + 8 * cubes._BLOCK + 2 ** 18
 
 
 @pytest.mark.parametrize("level", range(17))
