@@ -29,9 +29,9 @@ from typing import Iterator
 from .cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce
 from .omega import OmegaSequence
 from .prp import NielsenMove
-from .schreier import Label, schreier, spanning_walk, walk_elements
+from .schreier import Label, label_permutations, schreier, spanning_walk, walk_elements
 from .witnesses import witness_for
-from .words import MAX_LEVEL, level_permutations, word
+from .words import MAX_LEVEL, word
 
 # perfbench/selftest.py checks that its tracer wraps this name here too.
 from .prp import apply_move  # noqa: F401
@@ -166,8 +166,8 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     permutations of level max(7, m + 4), remains an independent cross-check.
 
     The walk is checked by stepping its labels through the generators'
-    level-m permutations (words.level_permutations), one lookup per label,
-    so the check forms no walk word.
+    level-m permutations (schreier.label_permutations), one lookup per
+    label, so the check forms no walk word.
 
     The path is checked by derivation, not by replay: the certificate's
     moves and checkpoints must equal those `_path` derives from the
@@ -252,12 +252,12 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
                 failures.append(f"step label references generator {gi}")
                 return result
     # h_(i+1) = (step word i) * h_i, so stepping the labels in order from
-    # h_i(start) reaches h_(i+1)(start). Label (i, +) is row 2i - 2, (i, -) row 2i - 1.
-    rows = level_permutations([h for w in gens for h in (w, w.inverse())], m).tolist()
+    # h_i(start) reaches h_(i+1)(start).
+    perms = {label: row.tolist() for label, row in label_permutations(gens, m).items()}
     at = int("0" + cert.start, 2)
     for labels, s in zip(cert.step_labels, cert.visits[1:]):
-        for gi, sign in labels:
-            at = rows[2 * gi - 1 - (sign > 0)][at]
+        for label in labels:
+            at = perms[label][at]
         if at != int("0" + s, 2):
             failures.append(f"walk element does not carry {cert.start!r} to {s!r}")
             return result

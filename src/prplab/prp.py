@@ -147,7 +147,6 @@ def bfs_layers(backend: GroupBackend, start: tuple, radius: int, budget: int) ->
 class BallTable:
     """Cumulative ball sizes by radius around one tuple."""
 
-    origin: tuple
     degree: int
     rows: list[tuple[int, int]] = field(default_factory=list)
     truncated: bool = False
@@ -178,7 +177,7 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
     """
     if radius < 0 or budget < 1:
         raise PrpError(f"need radius >= 0 and budget >= 1, got radius {radius} and budget {budget}")
-    table = BallTable(origin=start, degree=len(moves_for(len(start))))
+    table = BallTable(degree=len(moves_for(len(start))))
     count = 0
     # Sizes only: the frontier frees each layer's keys once it has expanded them.
     sizes = map(lambda layer: len(layer[0]), _frontier(_rows_for(backend, start), radius, budget))

@@ -60,6 +60,12 @@ class SchreierGraph:
         return "\n".join(lines)
 
 
+def label_permutations(generators: tuple[TreeWord, ...], m: int) -> dict[Label, np.ndarray]:
+    """Level-m permutation of each label (i, s), generator i to the power s: (1, +), (1, -), (2, +), ..."""
+    powers = {(i + 1, s): g if s > 0 else g.inverse() for i, g in enumerate(generators) for s in (1, -1)}
+    return dict(zip(powers, level_permutations(list(powers.values()), m)))
+
+
 def schreier(generators: tuple[TreeWord, ...], m: int) -> SchreierGraph:
     """Labeled action graph on all level-m strings."""
     if m < 0:
@@ -67,9 +73,9 @@ def schreier(generators: tuple[TreeWord, ...], m: int) -> SchreierGraph:
     if m > MAX_LEVEL:
         raise SchreierError(f"level {m} above configured maximum {MAX_LEVEL}")
     vertices = level_strings(m)
-    # Columns follow label order: (g1, +), (g1, -), (g2, +), ... Taken from
-    # one object array of vertex indices, every entry shares one int per vertex.
-    perms = level_permutations([h for g in generators for h in (g, g.inverse())], m)
+    # Columns follow label order. Taken from one object array of vertex
+    # indices, every entry shares one int per vertex.
+    perms = np.array(list(label_permutations(generators, m).values()))
     out = np.arange(2**m, dtype=object).take(perms.T).tolist()
 
     seen = {0}

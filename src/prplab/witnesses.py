@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .omega import CLASSICAL_OMEGA, OmegaSequence
-from .words import MAX_LEVEL, TreeWord, same_action, word
+from .words import MAX_LEVEL, TreeWord, portraits, word
 
 _REWRITE = {"a": "aba", "b": "d", "c": "b", "d": "c"}
 
@@ -90,7 +90,8 @@ def verify_classical(m: int) -> WitnessReport:
     letters_abcd = square.word_length("abcd")
     letters_abc = square.word_length("abc")
     bound_ok = letters_abc <= 2 ** (m + 4)
-    section_ok = same_action(t.section_at(ray), classical_t(0))
+    keys = portraits(CLASSICAL_OMEGA)
+    section_ok = keys.section(keys.key(t), ray) == keys.key(classical_t(0))
     return WitnessReport(
         kind="classical",
         m=m,

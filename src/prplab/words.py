@@ -12,8 +12,9 @@ i.e. no two adjacent 'a' and no two adjacent letters from {b,c,d}. Reduced
 words over these relations are normal forms for the free product Z2 * V4,
 so concatenate-then-reduce is a sound group law at fixed offset. Deeper
 relations of the actual group are decided once, by minimal portraits over
-the nucleus (`Portraits`): identity, equality and same action across
-offsets are all equality of portrait keys.
+the nucleus (`Portraits`, the one recursion through sections): identity,
+equality and same action across offsets are all equality of portrait
+keys, and sections, level stabilizers and supports walk portrait nodes.
 
 Convention: a word acts on strings by function composition with the
 rightmost letter applied first, so act(u*v, s) == act(u, act(v, s)).
@@ -158,19 +159,6 @@ class TreeWord:
             swapped=bool(e),
         )
 
-    def section_at(self, s: str) -> "TreeWord":
-        """Iterated section at the vertex s, satisfying g(st) = g(s) g|_s(t).
-
-        With a top swap the input bit selects the opposite wreath
-        component: g = (g0, g1) a and g(0t) = 1 g1(t).
-        """
-        g = self
-        for bit in s:
-            pair = g.sections()
-            pick_right = (bit == "1") != pair.swapped
-            g = pair.right if pick_right else pair.left
-        return g
-
     def act(self, s: str) -> str:
         """Image of the binary string s."""
         bits = bytearray(s, "ascii")
@@ -191,33 +179,23 @@ class TreeWord:
                 bits[n + 1] ^= 1
         return bits.decode("ascii")
 
-    def fixes_level(self, m: int, leaves: list[tuple[str, "TreeWord"]] | None = None) -> bool:
-        """True iff the word fixes every string of length m.
+    def fixes_level(self, m: int) -> bool:
+        """True iff the word fixes every string of length m."""
+        keys = portraits(self.omega)
+        return keys.level_support(keys.key(self), m) is not None
 
-        One walk down the sections, in O(m * len) letters instead of
-        acting on all 2^m strings: the word fixes level m exactly when no
-        section at a vertex above level m swaps. When `leaves` is given,
-        the nonempty sections at level m are appended to it as
-        (vertex, section) pairs in lexicographic order; they are complete
-        only when the result is True.
-        """
-        if m < 0:
-            raise WordError("level must be nonnegative")
-        stack: list[tuple[str, TreeWord]] = [("", self)]
-        while stack:
-            path, g = stack.pop()
-            if not g.letters:
-                continue
-            if len(path) == m:
-                if leaves is not None:
-                    leaves.append((path, g))
-                continue
-            pair = g.sections()
-            if pair.swapped:
-                return False
-            stack.append((path + "1", pair.right))
-            stack.append((path + "0", pair.left))
-        return True
+    def support(self, m: int) -> set[str]:
+        """Level-m strings below which the section is nontrivial; defined
+        only for words fixing level m pointwise."""
+        keys = portraits(self.omega)
+        vertices = keys.level_support(keys.key(self), m)
+        if vertices is None:
+            raise WordError(f"word does not stabilize level {m}")
+        return set(vertices)
+
+    def in_rist(self, s: str) -> bool:
+        """True iff the word fixes every string not beginning with s."""
+        return self.fixes_level(len(s)) and self.support(len(s)) <= {s}
 
     # -- the word problem --------------------------------------------------
 
@@ -247,23 +225,6 @@ class TreeWord:
             if g.is_identity():
                 return 2 ** e
         return None
-
-    def support(self, m: int) -> set[str]:
-        """Level-m strings below which the section is nontrivial.
-
-        Defined only for words fixing level m pointwise.
-        """
-        leaves: list[tuple[str, TreeWord]] = []
-        if not self.fixes_level(m, leaves):
-            raise WordError(f"word does not stabilize level {m}")
-        return {path for path, g in leaves if not g.is_identity()}
-
-    def in_rist(self, s: str) -> bool:
-        """True iff the word fixes every string not beginning with s."""
-        leaves: list[tuple[str, TreeWord]] = []
-        if not self.fixes_level(len(s), leaves):
-            return False
-        return all(path == s or g.is_identity() for path, g in leaves)
 
     def word_length(self, gen_set: str = "abcd") -> int:
         """Letter count; in 'abc' mode each d costs 2 (d = bc).
@@ -371,27 +332,30 @@ class Portraits:
     node (swap, left, right) of its sections, collapsed back to the
     nucleus element whose expansion it is. The portrait of an element then
     depends on the element alone: two words, at any offsets into one
-    sequence, get the same key iff they act alike on the tree.
+    sequence, get the same key iff they act alike on the tree. Sections
+    and level supports walk the keys' expansions, not words.
     """
 
     def __init__(self, omega: OmegaSequence):
         self.omega = omega
         n = len(omega.prefix) + len(omega.cycle)
-        # Interned portraits: bit strings for leaves, "a" for a and
-        # (swap, left, right) for nodes. Leaves are strings so that none
-        # equals a node tuple: (True, 1, 1) == (1, 1, 1).
-        self._ids: dict = {"0" * n: 0, "a": 1}
+        # Interned portraits -> keys: bit strings for leaves, "a" for a and
+        # (swap, left, right) for nodes and nucleus expansions. Leaves are
+        # strings so that none equals a node tuple: (True, 1, 1) == (1, 1, 1).
+        self._ids: dict = {"0" * n: 0, "a": 1, (False, 0, 0): 0, (True, 0, 0): 1}
+        # The expansion (swap, left, right) of every key, indexed by key.
+        self._nodes: list = [(False, 0, 0), (True, 0, 0)]
         # Every word of at most one letter, at every canonical position.
         self._words: dict[tuple[int, str], int] = {}
-        # The expansion (swap, left, right) of each nucleus element -> its key.
-        self._collapse: dict[tuple[bool, int, int], int] = {(False, 0, 0): 0, (True, 0, 0): 1}
         for k in range(n):
             self._words[(k, "")], self._words[(k, "a")] = 0, 1
             for x in BCD:
                 bits = "".join("0" if omega.letter_at(j) == x else "1" for j in range(k, k + n + 1))
                 self._words[(k, x)] = leaf = self._intern(bits[:-1])
-                # x_k = (a^e, x_{k+1}), where a^e has key e = bits[0].
-                self._collapse[(False, int(bits[0]), self._intern(bits[1:]))] = leaf
+                # x_k = (a^e, x_{k+1}), where a^e has key e = bits[0]; x_{k+1}
+                # is a leaf of this loop, at the next canonical position.
+                node = (False, int(bits[0]), self._intern(bits[1:]))
+                self._ids[node], self._nodes[leaf] = leaf, node
 
     def __len__(self) -> int:
         return len(self._words)
@@ -413,14 +377,43 @@ class Portraits:
             below = self.omega.canonical_pos(cpos + 1)
             node = (pair.swapped, self._key(below, pair.left.letters),
                     self._key(below, pair.right.letters))
-            key = self._collapse.get(node)
-            if key is None:
-                key = self._intern(node)
-            self._words[(cpos, letters)] = key
+            key = self._words[(cpos, letters)] = self._intern(node)
         return key
 
     def _intern(self, portrait) -> int:
-        return self._ids.setdefault(portrait, len(self._ids))
+        key = self._ids.setdefault(portrait, len(self._nodes))
+        if key == len(self._nodes):
+            self._nodes.append(portrait)
+        return key
+
+    def section(self, key: int, s: str) -> int:
+        """Key of the section at the vertex s, where g(st) = g(s) g|_s(t): a
+        top swap g = (g0, g1) a takes 0t to 1 g1(t), so bit 0 selects g1."""
+        for bit in s:
+            swap, left, right = self._nodes[key]
+            key = right if (bit == "1") != swap else left
+        return key
+
+    def level_support(self, key: int, m: int) -> list[str] | None:
+        """Level-m vertices below which the section is nontrivial, in
+        lexicographic order; None when a node above level m swaps. Key 0 is
+        not entered, and a nontrivial nucleus element swaps within
+        len(prefix) + len(cycle) + 1 levels, so the walk ends that close
+        below the nucleus, whatever m."""
+        if m < 0:
+            raise WordError("level must be nonnegative")
+        vertices: list[str] = []
+        stack = [("", key)] if key else []
+        while stack:
+            path, key = stack.pop()
+            if len(path) == m:
+                vertices.append(path)
+                continue
+            swap, left, right = self._nodes[key]
+            if swap:
+                return None
+            stack += [(path + bit, k) for bit, k in (("1", right), ("0", left)) if k]
+        return vertices
 
 
 def same_action(u: TreeWord, v: TreeWord) -> bool:

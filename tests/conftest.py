@@ -33,6 +33,19 @@ def random_word(rng: random.Random, omega: OmegaSequence, max_len: int = 40, off
     return TreeWord(omega, offset, reduce_letters(raw))
 
 
+def section_at(g: TreeWord, s: str) -> TreeWord:
+    """Iterated section at the vertex s, satisfying g(st) = g(s) g|_s(t):
+    the oracle of words.Portraits.section, one sections() call per letter.
+
+    With a top swap the input bit selects the opposite wreath component:
+    g = (g0, g1) a and g(0t) = 1 g1(t).
+    """
+    for bit in s:
+        pair = g.sections()
+        g = pair.right if (bit == "1") != pair.swapped else pair.left
+    return g
+
+
 def section_identity(w: TreeWord) -> bool:
     """The word problem by section recursion: the oracle of portrait keys.
 
@@ -94,7 +107,7 @@ def mod_elements(backend) -> list:
 def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:
     """The ball table from prp.bfs_layers, one element tuple at a time:
     the oracle of prp.ball's array frontier."""
-    table = BallTable(origin=start, degree=len(moves_for(len(start))))
+    table = BallTable(degree=len(moves_for(len(start))))
     count = 0
     for r, layer in enumerate(bfs_layers(backend, start, radius, budget)):
         count += len(layer)

@@ -7,7 +7,7 @@ lines and timings. Stated runtime budgets are asserted.
 import random
 import time
 
-from conftest import conjugate_family, random_nonconstant_cycle, random_omega
+from conftest import conjugate_family, random_nonconstant_cycle, random_omega, section_at
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.certificates import build_certificate, verify_certificate
 from prplab.cubes import check_cubic_bruteforce, check_cubic_by_support
@@ -68,7 +68,7 @@ def test_criterion_01_relations_suite():
             s = "".join(rng.choice("01") for _ in range(6))
             cut = rng.randrange(1, 6)
             prefix, tail = s[:cut], s[cut:]
-            assert u.act(s) == u.act(prefix) + u.section_at(prefix).act(tail)
+            assert u.act(s) == u.act(prefix) + section_at(u, prefix).act(tail)
     assert total >= 10_000
     _report(1, started, 10.0, f"{total} random words over {len(omegas)} sequences")
 

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import certificate_mutations, replace_field
-from prplab import cli
+from prplab import cli, words
 from prplab.certificates import build_certificate, serialize_certificate
 from prplab.cli import main
 from prplab.omega import CLASSICAL_OMEGA
+from prplab.words import TreeWord
 from test_cli_reach import GRP, command_lines
 
 
@@ -103,6 +104,48 @@ def test_cert_verify_rejects_tampered(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cert", "verify", str(path))
     assert code == 2
     assert "status=INVALID" in out and "failure=" in out
+
+
+# A malformed level-0 certificate with a long start. The Rist check runs
+# before verify returns on the malformed walk; a walk of string-level
+# sections built one path string per level below a witness that never
+# became the empty word, quadratic in len(start): 6.8 s at 400,000.
+HOSTILE = """prplab-certificate v1
+omega-cycle: {cycle}
+level: 0
+alpha: 1
+k: 1
+base: a b c d
+witness: {witness}
+start: {start}
+visits: -
+moves:
+checkpoints:
+"""
+
+
+@pytest.mark.parametrize("cycle, witness, failure", [
+    ("b", "b", "failure=witness is trivial"),  # b is trivial over (b)*
+    ("dcb", "dabacab", "failure=witness is not in the rigid stabilizer of '{start}'"),
+])
+def test_hostile_start_takes_sections_independent_of_its_length(capsys, tmp_path, monkeypatch,
+                                                               cycle, witness, failure):
+    calls = []
+    sections = TreeWord.sections
+    monkeypatch.setattr(TreeWord, "sections", lambda self: calls.append(self) or sections(self))
+    path = tmp_path / "hostile.txt"
+    counts = []
+    for n in (10, 400_000):
+        words._is_identity.cache_clear()  # so that each run keys the witness anew
+        words.portraits.cache_clear()
+        calls.clear()
+        path.write_text(HOSTILE.format(cycle=cycle, witness=witness, start="1" * n))
+        code, out, _ = run_cli(capsys, "cert", "verify", str(path))
+        assert code == 2
+        assert [ln for ln in out.splitlines() if ln.startswith("failure=")] == [
+            "failure=walk does not begin at its start string", failure.format(start="1" * n)]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 10
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,8 @@ ALLOWED = {
     "words.TreeWord.__repr__": "display dunder",
     "words.Portraits.__len__": "perfbench/worker.py reads the key memo's size through it",
     "words.TreeWord.equals": "perfbench/worker.py wraps it; the replay oracle compares with it",
-    **{name: "perfbench/worker.py wraps it; the tests' transport oracle"
-       for name in ("cubes.check_cubic_by_support", "words.TreeWord.support")},
+    "cubes.check_cubic_by_support": "perfbench/worker.py wraps it; the tests' transport oracle",
+    "words.same_action": "public API; TreeWord.equals compares through it",
 }
 
 GRP = """omega w = ""("dcb")*

@@ -11,7 +11,7 @@ section trees are bisimilar (`conftest.bisimilar`).
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisimilar, section_identity
+from conftest import bisimilar, section_at, section_identity
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.words import TreeWord, portraits, same_action, word
 
@@ -90,6 +90,19 @@ def test_key_equality_across_offsets_is_bisimulation(omega, offset_u, offset_v, 
         raw_v = raw_u.translate(str.maketrans("bcd", "".join(perm)))
     v = word(omega, raw_v, offset_v)
     assert same_action(u, v) == bisimilar(u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences)
+def test_nucleus_expansions_are_the_wreath_recursion(omega):
+    # Every nucleus letter at every canonical position descends, through
+    # the expansion its key keeps, to the key of its one-level sections.
+    keys = portraits(omega)
+    for k in range(len(omega.prefix) + len(omega.cycle)):
+        for x in "abcd":
+            g = word(omega, x, k)
+            for bit in "01":
+                assert keys.section(keys.key(g), bit) == keys.key(section_at(g, bit))
 
 
 def test_nucleus_leaves():

@@ -1,25 +1,31 @@
-"""Differential tests: the section walk and seam products against their slow oracles.
+"""Differential tests: the portrait node walk and seam products against their slow oracles.
 
-`fixes_level`, `support` and `in_rist` walk the sections once; the oracles
-act on every level string or take sections vertex by vertex. Products
-cancel only at the seam; the oracle reduces the whole concatenation.
-Equality goes through portrait keys; the oracle is the section recursion.
+`fixes_level`, `support` and `in_rist` walk the nodes of the portrait
+that `is_identity` already keyed, and `Portraits.section` descends them;
+the oracles act on every level string or take sections vertex by vertex.
+Products cancel only at the seam; the oracle reduces the whole
+concatenation. Equality goes through portrait keys; the oracle is the
+section recursion.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import section_identity
+from conftest import bisimilar, section_at, section_identity
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.witnesses import witness_for
-from prplab.words import Portraits, SectionPair, TreeWord, WordError, level_strings, reduce_letters, word
+from prplab.words import (
+    Portraits, SectionPair, TreeWord, WordError, level_strings, portraits, reduce_letters, word,
+)
 
-# Two periodic sequences and one with a prefix before its period.
-OMEGAS = [CLASSICAL_OMEGA, OmegaSequence("", "db"), OmegaSequence("cb", "dbc")]
+# Two periodic sequences, one with a prefix before its period, and two
+# eventually constant ones: over c(b)* and (b)* the letter b_1 is trivial.
+OMEGAS = [CLASSICAL_OMEGA, OmegaSequence("", "db"), OmegaSequence("cb", "dbc"),
+          OmegaSequence("c", "b"), OmegaSequence("", "b")]
 
 raw_words = st.text(alphabet="abcd", max_size=30)
-levels = st.integers(min_value=0, max_value=6)
+levels = st.integers(min_value=0, max_value=10)
 
 
 @st.composite
@@ -29,9 +35,10 @@ def elements(draw) -> TreeWord:
     omega = draw(st.sampled_from(OMEGAS))
     g = word(omega, draw(raw_words))
     h = word(omega, draw(raw_words))
-    kind = draw(st.sampled_from(
-        ["plain", "square", "fourth", "conjugate", "commutator", "witness", "two witnesses"]
-    ))
+    kinds = ["plain", "square", "fourth", "conjugate", "commutator"]
+    if not omega.is_eventually_constant():  # else there is no witness
+        kinds += ["witness", "two witnesses"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "plain":
         return g
     if kind == "square":
@@ -55,7 +62,10 @@ def fixes_level_oracle(g: TreeWord, m: int) -> bool:
 
 
 def support_oracle(g: TreeWord, m: int) -> set[str]:
-    return {s for s in level_strings(m) if not section_identity(g.section_at(s))}
+    layer = {"": g}  # every vertex of a level with its section
+    for _ in range(m):
+        layer = {v + bit: section_at(w, bit) for v, w in layer.items() for bit in "01"}
+    return {v for v, w in layer.items() if not section_identity(w)}
 
 
 def is_reduced(w: TreeWord) -> bool:
@@ -88,6 +98,41 @@ def test_in_rist_matches_definition(g, m, data):
         choices += sorted(supp)
     s = data.draw(st.sampled_from(choices))
     assert g.in_rist(s) == (fixes and supp <= {s})
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(), st.text("01", max_size=12), raw_words, st.integers(min_value=0, max_value=4))
+def test_section_key_descent_matches_section_at(g, s, raw, offset):
+    # Compared with the section word's own key, and through the
+    # bisimulation with nucleus letters and a drawn word, at the section's
+    # offset and at another.
+    keys = portraits(g.omega)
+    section = section_at(g, s)
+    descended = keys.section(keys.key(g), s)
+    assert descended == keys.key(section)
+    others = [word(g.omega, x, len(s)) for x in "abcd"] + [word(g.omega, raw, offset)]
+    for h in others:
+        assert (descended == keys.key(h)) == bisimilar(section, h)
+
+
+def test_tree_structure_reads_portrait_nodes(monkeypatch):
+    """After is_identity has keyed a word, fixes_level, support and in_rist
+    take no section: they read the memo's nodes."""
+    calls = []
+    sections = TreeWord.sections
+    monkeypatch.setattr(TreeWord, "sections", lambda self: calls.append(self) or sections(self))
+    for omega in OMEGAS:
+        cases = [(word(omega, "abacabadacab"), 0), (word(omega, "adabadabadabadab"), 3)]
+        if not omega.is_eventually_constant():
+            cases += [(witness_for(omega, m)[1], m) for m in (2, 5)]
+        for g, m in cases:
+            g.is_identity()
+            calls.clear()
+            for level in range(m + 3):
+                if g.fixes_level(level):
+                    g.support(level)
+                g.in_rist("1" * level)
+            assert not calls, f"{g!r} took {len(calls)} sections after its key"
 
 
 @settings(max_examples=500, deadline=None)

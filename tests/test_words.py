@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import random_omega, random_word
+from conftest import random_omega, random_word, section_at
 from prplab import words
 from prplab.omega import OmegaSequence
 from prplab.witnesses import classical_t
@@ -143,7 +143,7 @@ class TestSections:
         for _ in range(60):
             g = random_word(rng, om, 24)
             for s in ("0", "1", "01", "110"):
-                section = g.section_at(s)
+                section = section_at(g, s)
                 for t in level_strings(3):
                     assert g.act(s + t) == g.act(s) + section.act(t)
 
@@ -250,7 +250,7 @@ class TestWordProblem:
         assert not same_action(word(classical, "b"), word(classical, "ba"))
         assert not same_action(word(classical, "a"), word(classical, "ad"))
         # verify_classical's check on a 512-letter word, and a near miss
-        section = classical_t(7).section_at("1" * 7)
+        section = section_at(classical_t(7), "1" * 7)
         assert same_action(section, classical_t(0))
         assert not same_action(section, word(classical, "abac"))
 
