@@ -2,8 +2,8 @@
 
 Two independent routes. The brute-force route enumerates every ordered
 subset product g_1^e1 ... g_k^ek (e in {0,1}^k) as a permutation of one
-tree level, composed from the members' permutations of that level
-(words.level_permutations, one array for all k), and gives each a
+tree level, composed from the members' permutations of that level, read
+off their portrait nodes (words.level_permutations), and gives each a
 linear print; products whose prints meet are settled by their exact
 portrait keys (words.portraits), so the answer is exact. The support
 route never enumerates: disjoint singleton supports of nontrivial

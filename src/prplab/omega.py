@@ -1,10 +1,8 @@
 """Eventually periodic defining sequences over the alphabet {b, c, d}.
 
 A sequence is stored as a finite prefix plus a nonempty repeating cycle,
-so that letter_at(n) is prefix[n] for n < len(prefix) and cycles afterwards.
-In this class the tails from n and m are equal iff the letters from n and m
-agree for len(prefix) + len(cycle) places; the portrait keys of the word
-problem rest on that.
+so that letter_at(n) is prefix[n] for n < len(prefix) and cycles afterwards;
+positions past the prefix one cycle apart have one tail (canonical_pos).
 """
 
 from __future__ import annotations

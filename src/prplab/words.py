@@ -12,9 +12,10 @@ i.e. no two adjacent 'a' and no two adjacent letters from {b,c,d}. Reduced
 words over these relations are normal forms for the free product Z2 * V4,
 so concatenate-then-reduce is a sound group law at fixed offset. Deeper
 relations of the actual group are decided once, by minimal portraits over
-the nucleus (`Portraits`, the one recursion through sections): identity,
-equality and same action across offsets are all equality of portrait
-keys, and sections, level stabilizers and supports walk portrait nodes.
+the nucleus (`Portraits`, the one model of the generators): identity,
+equality and same action across offsets are all equality of portrait keys,
+and sections, level stabilizers, supports and level permutations walk
+portrait nodes.
 
 Convention: a word acts on strings by function composition with the
 rightmost letter applied first, so act(u*v, s) == act(u, act(v, s)).
@@ -282,29 +283,16 @@ def level_strings(m: int) -> list[str]:
 def level_permutations(words: list[TreeWord], m: int) -> np.ndarray:
     """Row r maps each level-m string, read as an integer with its first
     letter most significant, to its image under words[r], in the least
-    unsigned dtype. The words must share omega and offset k.
-
-    a flips the top bit. x in {b, c, d} flips letter n + 1, bit 2^(m-n-2),
-    of the strings with exactly n leading ones, 2^m - 2^(m-n) up to
-    2^m - 2^(m-n-1), whenever omega_(k+n) != x. All words compose at once,
-    rightmost letter first as in act, one gather per letter column.
-    """
+    unsigned dtype. The words must share omega and offset. The rows are
+    read off portrait nodes through one memo (`Portraits.level_action`)."""
     if len({(w.omega, w.offset) for w in words}) > 1:
         raise WordError("words mix defining sequences or offsets")
-    size = 2 ** m
-    # Rows 0-3 are the permutations of letters a-d, row 4 ("e") the identity.
-    table = np.tile(np.arange(size, dtype=np.min_scalar_type(size - 1)), (5, 1))
-    table[0] ^= size >> 1
-    for row, x in enumerate(BCD, 1):
-        for n in range(m - 1):
-            if words and words[0].omega.letter_at(words[0].offset + n) != x:
-                table[row, size - (size >> n):size - (size >> n + 1)] ^= size >> n + 2
-    width = max((len(w.letters) for w in words), default=0)
-    codes = np.frombuffer("".join(w.letters[::-1].ljust(width, "e") for w in words).encode(), np.uint8)
-    perms = np.tile(table[-1], (len(words), 1))
-    for column in (codes.reshape(len(words), width).astype(np.intp) - ord("a")).T * size:
-        perms = table.ravel().take(column[:, None] + perms)
-    return perms
+    rows = np.empty((len(words), 2 ** m), np.min_scalar_type(2 ** m - 1))
+    memo: dict[tuple[int, int], np.ndarray] = {}
+    for row, w in zip(rows, words):
+        keys = portraits(w.omega)
+        row[:] = keys.level_action(keys.key(w), m, memo)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -324,38 +312,40 @@ class Portraits:
     """Exact keys of tree words: minimal portraits, hash-consed to small ints.
 
     The family group is contracting with nucleus {1, a, b_k, c_k, d_k}.
-    The leaf x_k is keyed by its bits [omega_j != x] for j = k, ...,
-    k + n - 1, n = len(prefix) + len(cycle): they fix x_k = (a^e, x_{k+1})
-    all the way down, because past the prefix they repeat with the cycle.
-    So two leaves at any offsets get one key iff they act alike; all zero
-    bits are the identity, key 0, and a is key 1. A longer word is the
-    node (swap, left, right) of its sections, collapsed back to the
-    nucleus element whose expansion it is. The portrait of an element then
-    depends on the element alone: two words, at any offsets into one
-    sequence, get the same key iff they act alike on the tree. Sections
-    and level supports walk the keys' expansions, not words.
+    Every key is interned by its expansion (swap, left, right): 1 is
+    (False, 0, 0), key 0; a is (True, 0, 0), key 1; the leaf x_k is
+    (False, e, x_(k+1)) by the wreath recursion; a longer word is the node
+    of its sections, which may be a nucleus element's. So two words, at any
+    offsets into one sequence, get one key iff they act alike on the tree.
+    Sections, level supports and level permutations walk these expansions.
     """
 
     def __init__(self, omega: OmegaSequence):
         self.omega = omega
-        n = len(omega.prefix) + len(omega.cycle)
-        # Interned portraits -> keys: bit strings for leaves, "a" for a and
-        # (swap, left, right) for nodes and nucleus expansions. Leaves are
-        # strings so that none equals a node tuple: (True, 1, 1) == (1, 1, 1).
-        self._ids: dict = {"0" * n: 0, "a": 1, (False, 0, 0): 0, (True, 0, 0): 1}
-        # The expansion (swap, left, right) of every key, indexed by key.
+        p, cycle = len(omega.prefix), omega.cycle
+        # Interned expansions (swap, left, right) -> keys, and back by key.
+        self._ids: dict = {(False, 0, 0): 0, (True, 0, 0): 1}
         self._nodes: list = [(False, 0, 0), (True, 0, 0)]
-        # Every word of at most one letter, at every canonical position.
+        # Keys of b, c and d at every canonical position, then of every word keyed.
         self._words: dict[tuple[int, str], int] = {}
-        for k in range(n):
-            self._words[(k, "")], self._words[(k, "a")] = 0, 1
-            for x in BCD:
-                bits = "".join("0" if omega.letter_at(j) == x else "1" for j in range(k, k + n + 1))
-                self._words[(k, x)] = leaf = self._intern(bits[:-1])
-                # x_k = (a^e, x_{k+1}), where a^e has key e = bits[0]; x_{k+1}
-                # is a leaf of this loop, at the next canonical position.
-                node = (False, int(bits[0]), self._intern(bits[1:]))
-                self._ids[node], self._nodes[leaf] = leaf, node
+        orbits = [("0" * len(cycle), [0])]  # bits on the cycle, keys of x_p, x_(p+1), ...
+        for x in BCD:
+            # On the cycle x_(p+j) = (a^bits[j], x_(p+j+1)) depends on j mod the least
+            # period of bits; bits rotating an earlier letter's by r act as it r places on.
+            bits = "".join("0" if y == x else "1" for y in cycle)
+            for seen, keys in orbits:
+                r = (seen + seen).find(bits)
+                if r >= 0:
+                    break
+            else:
+                r, q = 0, (bits + bits).find(bits, 1)
+                first = len(self._nodes)  # the q nodes are new, so they are keyed first, first + 1, ...
+                keys = [self._intern((False, int(bits[j]), first + (j + 1) % q)) for j in range(q)]
+                orbits.append((bits, keys))
+            for j in range(len(cycle)):
+                self._words[(p + j, x)] = keys[(j + r) % len(keys)]
+            for k in reversed(range(p)):
+                self._words[(k, x)] = self._intern((False, int(omega.prefix[k] != x), self._words[(k + 1, x)]))
 
     def __len__(self) -> int:
         return len(self._words)
@@ -367,7 +357,7 @@ class Portraits:
         return self._key(omega.canonical_pos(w.offset), w.letters)
 
     def _key(self, cpos: int, letters: str) -> int:
-        key = self._words.get((cpos, letters))
+        key = self._words.get((cpos, letters)) if letters else 0
         if key is None:
             pair = _reduced(self.omega, cpos, letters).sections()
             # Contraction must strictly shrink the word, else the recursion
@@ -394,6 +384,19 @@ class Portraits:
             key = right if (bit == "1") != swap else left
         return key
 
+    def level_action(self, key: int, m: int, memo: dict) -> np.ndarray:
+        """The level-m permutation of the key, as in level_permutations. The
+        node (swap, left, right) takes 0t to 0 left(t) and 1t to 1 right(t),
+        or with swap 0t to 1 right(t) and 1t to 0 left(t), as `section` reads
+        it. The memo maps (key, depth) to permutations, for one caller."""
+        if key == 0 or m == 0:
+            return np.arange(2 ** m)
+        if (key, m) not in memo:
+            swap, left, right = self._nodes[key]
+            below = [self.level_action(left, m - 1, memo), self.level_action(right, m - 1, memo) + 2 ** (m - 1)]
+            memo[key, m] = np.concatenate(below[::-1] if swap else below)
+        return memo[key, m]
+
     def level_support(self, key: int, m: int) -> list[str] | None:
         """Level-m vertices below which the section is nontrivial, in
         lexicographic order; None when a node above level m swaps. Key 0 is
@@ -419,8 +422,6 @@ class Portraits:
 def same_action(u: TreeWord, v: TreeWord) -> bool:
     """Equality as tree automorphisms, allowing different offsets: words at
     any offsets into one sequence act on one tree, and portrait keys are
-    exact across offsets."""
-    if u.omega != v.omega:
-        raise WordError("words are defined over different sequences")
+    exact across offsets. Portraits.key refuses a word over another sequence."""
     keys = portraits(u.omega)
     return keys.key(u) == keys.key(v)

@@ -99,6 +99,19 @@ def bisimilar(u: TreeWord, v: TreeWord) -> bool:
     return True
 
 
+def string_leaf_keys(omega: OmegaSequence) -> dict[tuple[int, str], str]:
+    """The string key of the leaf x_k at every canonical position k: its
+    bits [omega_j != x] for j = k, ..., k + n - 1, n = len(prefix) +
+    len(cycle). They fix x_k = (a^e, x_(k+1)) all the way down, since past
+    the prefix they repeat with the cycle, so two leaves get one string
+    iff they act alike, and all zero bits are the identity. The oracle of
+    the leaf keys of words.Portraits, which are interned by expansion;
+    this construction is quadratic in n."""
+    n = len(omega.prefix) + len(omega.cycle)
+    return {(k, x): "".join("0" if omega.letter_at(j) == x else "1" for j in range(k, k + n))
+            for k in range(n) for x in "bcd"}
+
+
 def mod_elements(backend) -> list:
     """Every element of a ModVectorBackend, in itertools.product order."""
     return [backend.element(c) for c in itertools.product(range(backend.p), repeat=backend.d)]

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate_mutations, replace_field
+from conftest import certificate_mutations, replace_field, replay_failures
 from prplab import cli, words
-from prplab.certificates import build_certificate, serialize_certificate
+from prplab.certificates import build_certificate, parse_certificate, serialize_certificate
 from prplab.cli import main
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.words import TreeWord
@@ -148,6 +148,69 @@ def test_hostile_start_takes_sections_independent_of_its_length(capsys, tmp_path
     assert counts[0] == counts[1] < 10
 
 
+def test_hostile_prefix_interns_linearly_in_its_length(capsys, tmp_path, monkeypatch):
+    # The leaves of the portrait memo were keyed by one bit string of
+    # len(prefix) + len(cycle) letters per position and letter, quadratic
+    # in the prefix: 12 s CPU for 4,000 letters. Interned by expansion from
+    # the last prefix position to the first, they cost three interns each.
+    calls = []
+    intern = words.Portraits._intern
+    monkeypatch.setattr(words.Portraits, "_intern", lambda self, node: calls.append(node) or intern(self, node))
+    path = tmp_path / "prefix.txt"
+    counts = []
+    for n in (10, 100_000):
+        words._is_identity.cache_clear()
+        words.portraits.cache_clear()
+        calls.clear()
+        path.write_text(HOSTILE_PREFIX.format(prefix="b" * n))
+        code, out, _ = run_cli(capsys, "cert", "verify", str(path))
+        assert code == 2
+        assert [ln for ln in out.splitlines() if ln.startswith("failure=")] == ["failure=alpha 1 is not ceil(2/2^0) = 2"]
+        counts.append(len(calls))
+    assert counts[1] - counts[0] <= 3 * (100_000 - 10)
+
+
+# A level-0 certificate over a long prefix of b's before (dcb)*. Every
+# check runs; only the claimed alpha is wrong.
+HOSTILE_PREFIX = """prplab-certificate v1
+omega-prefix: {prefix}
+omega-cycle: dcb
+level: 0
+alpha: 1
+k: 1
+base: a b c d
+witness: ad
+start: -
+visits: -
+moves: R+1,5 R+4,5
+checkpoints: 2
+"""
+
+
+def test_hostile_base_word_builds_level_arrays_independent_of_its_length(capsys, tmp_path, monkeypatch):
+    # The level-14 permutations of a base entry were composed one gather of
+    # 2^14 entries per letter, 10 s CPU for (ab)^20000. Read off portrait
+    # nodes, they cost one array per (key, depth), and (ab)^16 and
+    # (ab)^20000 are both the identity.
+    code, text, _ = run_cli(capsys, "cert", "build", "--m", "14")
+    assert code == 0
+    calls = []
+    action = words.Portraits.level_action
+    monkeypatch.setattr(words.Portraits, "level_action",
+                        lambda self, *args: calls.append(args[:2]) or action(self, *args))
+    path = tmp_path / "base.txt"
+    counts = []
+    for n in (16, 20_000):
+        calls.clear()
+        path.write_text(text.replace("\nbase: a b c d\n", f"\nbase: a b c {'ab' * n}\n"))
+        code, out, _ = run_cli(capsys, "cert", "verify", str(path))
+        assert code == 2
+        assert [ln for ln in out.splitlines() if ln.startswith("failure=")] == [
+            "failure=moves before checkpoint 0 differ from the derived path"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 200
+
+
 @pytest.mark.parametrize(
     "field, value, failure",
     [("alpha", "99", "failure=alpha 99 is not ceil(64/2^3) = 8"),
@@ -194,14 +257,8 @@ def _m2_certificate() -> str:
     return serialize_certificate(build_certificate(CLASSICAL_OMEGA, 2))
 
 
-@settings(max_examples=120, deadline=None)
-@given(certificate_mutations, st.integers(min_value=0, max_value=2))
-def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
-    # Every single-field mutation of a valid certificate is a parse error
-    # (exit 1, before any output), INVALID (exit 2) or still VALID; nothing
-    # escapes as a crash or fails halfway through the report.
-    field, value = mutation
-    text = replace_field(_m2_certificate(), field, value, index)
+def _verify_text(text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `cert verify` reading text on stdin."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     try:
@@ -210,11 +267,72 @@ def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
             code = main(["cert", "verify"])
     finally:
         sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(certificate_mutations, st.integers(min_value=0, max_value=2))
+def test_mutated_certificates_verify_or_fail_cleanly(mutation, index):
+    # Every single-field mutation of a valid certificate is a parse error
+    # (exit 1, before any output), INVALID (exit 2) or still VALID; nothing
+    # escapes as a crash or fails halfway through the report.
+    field, value = mutation
+    code, out, err = _verify_text(replace_field(_m2_certificate(), field, value, index))
     assert code in (0, 1, 2)
-    assert (code == 0) == ("status=VALID" in out.getvalue())
-    assert (code == 1) == err.getvalue().startswith("error: ")
-    assert code != 1 or out.getvalue() == ""
-    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == ("status=VALID" in out)
+    assert (code == 1) == err.startswith("error: ")
+    assert code != 1 or out == ""
+    assert "Traceback" not in err
+
+
+@functools.cache
+def _m3_certificate() -> str:
+    return serialize_certificate(build_certificate(CLASSICAL_OMEGA, 3))
+
+
+# Long periodic values of the fields whose length a certificate's author
+# chooses freely, up to 20,000 letters; a long base entry follows a, b, c.
+_LETTERS = {"omega-prefix": "bcd", "omega-cycle": "bcd", "witness": "abcd", "start": "01", "base": "abcd"}
+_long_values = st.sampled_from(sorted(_LETTERS)).flatmap(lambda field: st.builds(
+    lambda unit, times: (field, ("a b c " if field == "base" else "") + unit * times),
+    st.text(_LETTERS[field], min_size=1, max_size=4), st.integers(1, 5_000)))
+_hostile_edits = st.one_of(
+    # one field's value replaced, by a long value or a drawn one
+    st.tuples(st.just("value"), st.integers(0, 12), _long_values | certificate_mutations),
+    # one line's value cut short or repeated
+    st.tuples(st.just("length"), st.integers(1, 12), st.integers(-30, 30)),
+    # one line repeated elsewhere
+    st.tuples(st.just("repeat"), st.integers(1, 12), st.integers(1, 13)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_hostile_edits, min_size=1, max_size=3))
+def test_hostile_certificates_are_refused_cleanly(edits):
+    # A valid level-3 certificate with changed field values, field lengths
+    # and repeated lines is INVALID (exit 2) or a parse error (exit 1, one
+    # clean error line), unless a replay of its path confirms it; it never
+    # crashes, whatever its lengths.
+    text = _m3_certificate()
+    for kind, at, change in edits:
+        lines = text.splitlines()
+        at %= len(lines)
+        if kind == "value":
+            text = replace_field(text, *change, at)
+            continue
+        if kind == "length":
+            key, _, value = lines[at].partition(": ")
+            lines[at] = f"{key}: {value[:change] if change < 0 else value * change}"
+        else:
+            lines.insert(change % (len(lines) + 1), lines[at])
+        text = "\n".join(lines) + "\n"
+    code, out, err = _verify_text(text)
+    assert "Traceback" not in err
+    if code == 0:  # edits that keep the claim, such as the cycle written twice
+        assert "status=VALID" in out.splitlines() and not replay_failures(parse_certificate(text))
+    else:
+        assert (code, "status=INVALID" in out.splitlines(), err) == (2, True, "") or (
+            code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1)
 
 
 def test_cert_build_verify_pipe_above_ten(capsys):

@@ -11,7 +11,7 @@ section trees are bisimilar (`conftest.bisimilar`).
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisimilar, section_at, section_identity
+from conftest import bisimilar, section_at, section_identity, string_leaf_keys
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.words import TreeWord, portraits, same_action, word
 
@@ -103,6 +103,38 @@ def test_nucleus_expansions_are_the_wreath_recursion(omega):
             g = word(omega, x, k)
             for bit in "01":
                 assert keys.section(keys.key(g), bit) == keys.key(section_at(g, bit))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(OmegaSequence, st.text("bcd", max_size=8), st.text("bcd", min_size=1, max_size=8)))
+@example(OmegaSequence("", "bc"))  # b_k acts as c_(k+1)
+@example(OmegaSequence("", "cb"))
+@example(OmegaSequence("c", "bc"))
+@example(OmegaSequence("", "b"))  # b is trivial
+@example(OmegaSequence("cd", "c"))
+@example(OmegaSequence("", "bcbcbc"))  # least period 2 of a cycle of 6
+def test_leaf_keys_partition_as_their_bit_strings(omega):
+    # Leaves interned by expansion and leaves keyed by their bit strings
+    # split (position, letter) into the same classes, the identity's
+    # class included.
+    keys = portraits(omega)
+    strings = string_leaf_keys(omega)
+    pairs = {(strings[leaf], keys.key(word(omega, leaf[1], leaf[0]))) for leaf in strings}
+    assert len(pairs) == len({s for s, _ in pairs}) == len({k for _, k in pairs})
+    zero = "0" * len(omega.prefix + omega.cycle)
+    assert all((s == zero) == (k == 0) for s, k in pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences, offsets, st.lists(raw_words, max_size=4))
+def test_every_key_is_interned_by_its_expansion(omega, offset, raws):
+    # Keys and expansions (swap, left, right) are one bijection: no bit
+    # string or letter keys anything, nucleus leaves included.
+    keys = portraits(omega)
+    for raw in raws:
+        keys.key(word(omega, raw, offset))
+    assert all(type(node) is tuple and len(node) == 3 and type(node[0]) is bool for node in keys._ids)
+    assert [keys._ids[node] for node in keys._nodes] == list(range(len(keys._nodes)))
 
 
 def test_nucleus_leaves():
