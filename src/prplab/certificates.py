@@ -7,17 +7,18 @@ graph that starts at S padded with one identity and drags the spare slot
 through every conjugate h_i g h_i^(-1) in walk order. Checkpoints mark
 the move counts after which the spare slot must equal each conjugate.
 
-Build and verify derive the path from the witness, the base and the
-step labels through one function, `_path`. Verification re-derives every
-claim: walk validity (the labels stepped through the generators' level-m
-permutations), rigid-stabilizer membership, cubicity of the conjugate
-family (by transport from those two, cross-checked by brute force for
-small k), a path equal to the derivation (so the checkpoint equalities
-hold by algebra), alpha as the spelled witness length over 2^m (rounded
-up, at least 1), and the path length bound (alpha + 4) * 2^m. A verified
-certificate pins 2^k distinct tuples inside the ball of radius
-path_length + k around the padded base tuple, with no ball enumeration,
-through the accumulator slot that verify_certificate's docstring argues.
+Build and verify derive the path, one canonical token str(NielsenMove)
+per move, from the witness, the base and the step labels through
+`_path`. Verification re-derives every claim: walk validity (the labels
+stepped through the generators' level-m permutations), rigid-stabilizer
+membership, cubicity of the conjugate family (by transport from those
+two, cross-checked by brute force for small k), a path equal to the
+derivation token for token (so the checkpoint equalities hold by
+algebra), alpha as the spelled witness length over 2^m (rounded up, at
+least 1), and the path length bound (alpha + 4) * 2^m. A verified
+certificate pins 2^k distinct tuples within path_length + k moves of the
+padded base tuple, with no ball enumeration, through the accumulator
+slot that verify_certificate's docstring argues.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class CubicCertificate:
     start: str
     visits: list[str]
     step_labels: list[list[Label]]
-    moves: list[NielsenMove]
+    moves: list[str]  # canonical tokens, str(NielsenMove), as in the file
     checkpoints: list[int]  # after moves[:c] the spare slot equals the next conjugate
     alpha: int
     k: int
@@ -71,8 +72,8 @@ class VerificationResult:
     k: int = 0
 
 
-def _path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -> Iterator[list[NielsenMove]]:
-    """The Nielsen path, one checkpoint's chunk of moves at a time.
+def _path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -> Iterator[list[str]]:
+    """The Nielsen path, one checkpoint's chunk of move tokens at a time.
 
     Every move writes the spare slot len(base) + 1. The first chunk spells
     the witness into it, one right-multiplication per letter pulled from
@@ -81,11 +82,11 @@ def _path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -
     slots before the last, the accumulator slot, lack a, b or c is
     rejected too: the growth claim needs that slot (verify_certificate).
     Chunk i + 1 conjugates the slot by step word i, two moves per label.
-    Equal moves are one shared object, which is safe because a move is
-    frozen.
+    Each distinct move is formatted once, by NielsenMove, the one
+    definition of the token syntax; equal moves share one token.
     """
     slot = len(base) + 1
-    move = functools.cache(NielsenMove)
+    move = functools.cache(lambda *fields: str(NielsenMove(*fields)))
     spell = {w: [move("R", 1, i + 1, slot)] for i, w in enumerate(base) if len(w) == 1}
     if "d" not in spell and "b" in spell and "c" in spell:
         spell["d"] = spell["b"] + spell["c"]
@@ -127,7 +128,7 @@ def build_certificate(
     start = "1" * m
     walk = spanning_walk(graph, start)
 
-    moves: list[NielsenMove] = []
+    moves: list[str] = []
     checkpoints = []
     for chunk in _path(g.letters, base, walk.step_labels):
         moves.extend(chunk)
@@ -170,9 +171,9 @@ def verify_certificate(cert: CubicCertificate) -> VerificationResult:
     label, so the check forms no walk word.
 
     The path is checked by derivation, not by replay: the certificate's
-    moves and checkpoints must equal those `_path` derives from the
-    witness, the base and the step labels, compared one checkpoint's
-    chunk at a time. The checkpoint equalities then hold by algebra, with
+    move tokens and checkpoints must equal those `_path` derives from
+    the witness, the base and the step labels, one checkpoint's chunk at
+    a time. The checkpoint equalities then hold by algebra, with
     n = len(base) and the spare slot n + 1 starting at the identity:
     - the first chunk multiplies the slot on the right by each letter of
       the witness (d as b then c when the base lacks d), and the spelled
@@ -325,8 +326,7 @@ def serialize_certificate(cert: CubicCertificate) -> str:
     lines.append("visits: " + " ".join(_mark(v) for v in cert.visits))
     for labels in cert.step_labels:
         lines.append("step: " + " ".join(f"{gi}{'+' if s > 0 else '-'}" for gi, s in labels))
-    # A path of 2^m steps has about ten distinct moves; each is formatted once.
-    lines.append("moves: " + " ".join(map(functools.cache(str), cert.moves)))
+    lines.append("moves: " + " ".join(cert.moves))
     lines.append("checkpoints: " + " ".join(str(c) for c in cert.checkpoints))
     return "\n".join(lines) + "\n"
 
@@ -367,8 +367,8 @@ def parse_certificate(text: str) -> CubicCertificate:
             start=_unmark(fields.get("start", "-")),
             visits=[_unmark(v) for v in fields["visits"].split()] if fields.get("visits") else [],
             step_labels=steps,
-            # One move per distinct token: a level-14 path has 10 among 163,838.
-            moves=list(map(functools.cache(NielsenMove.parse), fields.get("moves", "").split())),
+            # Each distinct token is canonicalized once: a level-14 path has 10 among 163,838.
+            moves=list(map(functools.cache(lambda t: str(NielsenMove.parse(t))), fields.get("moves", "").split())),
             checkpoints=[int(t) for t in fields.get("checkpoints", "").split()],
             alpha=int(fields["alpha"]),
             k=int(fields["k"]),

@@ -210,9 +210,10 @@ def _cmd_schreier(args) -> int:
     print(f"vertices={len(graph.vertices)}")
     print(f"connected={int(graph.connected)}")
     print("vertex,label,target")
-    for v, s in enumerate(graph.vertices):
-        for li, (gi, sign) in enumerate(graph.labels):
-            print(f"{s},g{gi}{'+' if sign > 0 else '-'},{graph.vertices[graph.out[v][li]]}")
+    names = [f"g{gi}{'+' if sign > 0 else '-'}" for gi, sign in graph.labels]
+    for s, targets in zip(graph.vertices, graph.out):
+        for name, t in zip(names, targets):
+            print(f"{s},{name},{graph.vertices[t]}")
     return 0
 
 

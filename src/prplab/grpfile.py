@@ -173,9 +173,11 @@ def _omega_decl(parser: _Parser, name: Token) -> OmegaDecl:
         bad = next((ch for ch in quoted.text if ch not in BCD), None)
         if bad is not None:
             raise GrpParseError(quoted.line, quoted.col, f"sequence letter {bad!r} outside {{b,c,d}}")
-    if not cycle.text:
-        raise GrpParseError(cycle.line, cycle.col, "cycle must be nonempty")
-    return OmegaDecl(name.text, OmegaSequence(prefix.text, cycle.text), name.line, name.col)
+    try:
+        omega = OmegaSequence(prefix.text, cycle.text)
+    except ValueError as exc:  # an empty cycle, or a sequence above MAX_SEQUENCE_LETTERS
+        raise GrpParseError(cycle.line, cycle.col, str(exc)) from None
+    return OmegaDecl(name.text, omega, name.line, name.col)
 
 
 def _group_decl(parser: _Parser, name: Token, omega_names: set[str]) -> GroupDecl:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 BCD = "bcd"
 
+MAX_SEQUENCE_LETTERS = 2**17  # of len(prefix) + len(cycle); a verify holds about 1 KB per letter
+
 
 @dataclass(frozen=True)
 class OmegaSequence:
@@ -20,6 +22,8 @@ class OmegaSequence:
     def __post_init__(self) -> None:
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
+        if (n := len(self.prefix) + len(self.cycle)) > MAX_SEQUENCE_LETTERS:
+            raise ValueError(f"sequence has {n} letters, above the cap of {MAX_SEQUENCE_LETTERS}")
         for ch in self.prefix + self.cycle:
             if ch not in BCD:
                 raise ValueError(f"sequence letters must be in {{b,c,d}}, got {ch!r}")

@@ -51,11 +51,9 @@ class SchreierGraph:
         lines.append(f'  label="level {self.level}";')
         for v, s in enumerate(self.vertices):
             lines.append(f'  v{v} [label="{s}"];')
-        for v in range(len(self.vertices)):
-            for li, (gi, sign) in enumerate(self.labels):
-                if sign < 0:
-                    continue  # one arc per generator, inverses implicit
-                lines.append(f'  v{v} -> v{self.out[v][li]} [label="g{gi}"];')
+        arcs = [(li, gi) for li, (gi, sign) in enumerate(self.labels) if sign > 0]  # inverses implicit
+        lines += (f'  v{v} -> v{targets[li]} [label="g{gi}"];'
+                  for v, targets in enumerate(self.out) for li, gi in arcs)
         lines.append("}")
         return "\n".join(lines)
 

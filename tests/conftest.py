@@ -1,6 +1,6 @@
 import itertools
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from prplab import cubes, prp
 from prplab.backends import TreeBackend
+from prplab.certificates import CertificateError
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers, moves_for
-from prplab.schreier import SchreierError, SpanningWalk, walk_elements
+from prplab.schreier import Label, SchreierError, SpanningWalk, walk_elements
 from prplab.words import TreeWord, identity, reduce_letters, word
 
 
@@ -159,9 +160,39 @@ def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk
     return [g.conjugate_by(h) for h in walk_elements(gens, walk.step_labels, g.omega)]
 
 
+def object_path(witness: str, base: tuple[str, ...], step_labels: list[list[Label]]) -> Iterator[list[NielsenMove]]:
+    """The Nielsen path as prp.NielsenMove objects, one checkpoint's chunk at
+    a time: the oracle of certificates._path, which yields the same moves
+    as their canonical tokens str(NielsenMove) and raises the same errors.
+
+    Every move writes the spare slot len(base) + 1. The first chunk spells
+    the witness into it, one right-multiplication per letter pulled from
+    the base, d as b then c when the base lacks d; a base whose slots
+    before the last, the accumulator slot, lack a, b or c is rejected.
+    Chunk i + 1 conjugates the slot by step word i, two moves per label.
+    """
+    slot = len(base) + 1
+    move = cache(NielsenMove)
+    spell = {w: [move("R", 1, i + 1, slot)] for i, w in enumerate(base) if len(w) == 1}
+    if "d" not in spell and "b" in spell and "c" in spell:
+        spell["d"] = spell["b"] + spell["c"]
+    for ch in witness:
+        if ch not in spell:
+            raise CertificateError(f"base tuple {base} cannot spell letter {ch!r} into the spare slot")
+    missing = [ch for ch in "abc" if ch not in base[:-1]]
+    if missing:
+        raise CertificateError(
+            f"base tuple {base} lacks {', '.join(missing)} outside slot {len(base)}, the accumulator slot"
+        )
+    yield [mv for ch in witness for mv in spell[ch]]
+    for labels in step_labels:
+        yield [mv for gi, s in labels for mv in (move("L", s, gi, slot), move("R", -s, gi, slot))]
+
+
 def replay(cert, accumulate=frozenset()) -> Iterator[tuple[int, tuple]]:
-    """Replay a certificate's moves one prp.apply_move at a time, from its
-    base tuple padded with the identity.
+    """Replay a certificate's move tokens one prp.apply_move at a time, each
+    parsed by NielsenMove.parse, from its base tuple padded with the
+    identity.
 
     Yields (moves applied, tuple) at each checkpoint, which must be
     increasing move counts within the path, and once more after the last
@@ -175,15 +206,15 @@ def replay(cert, accumulate=frozenset()) -> Iterator[tuple[int, tuple]]:
     extra = NielsenMove("R", 1, len(entries), len(entries) - 1)
     done = extras = 0
     for i, c in enumerate(cert.checkpoints):
-        for move in cert.moves[done:c]:
-            entries = apply_move(backend, entries, move)
+        for token in cert.moves[done:c]:
+            entries = apply_move(backend, entries, NielsenMove.parse(token))
         done = c
         yield done + extras, entries
         if i in accumulate:
             entries = apply_move(backend, entries, extra)
             extras += 1
-    for move in cert.moves[done:]:
-        entries = apply_move(backend, entries, move)
+    for token in cert.moves[done:]:
+        entries = apply_move(backend, entries, NielsenMove.parse(token))
     yield len(cert.moves) + extras, entries
 
 

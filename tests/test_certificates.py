@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate_mutations, replace_field, replay, replay_failures
+from conftest import certificate_mutations, object_path, replace_field, replay, replay_failures
 from prplab.backends import TreeBackend
 from prplab.certificates import (
     CertificateError,
+    _path,
     build_certificate,
     parse_certificate,
     serialize_certificate,
@@ -16,7 +17,7 @@ from prplab.certificates import (
 )
 from prplab.cubes import BRUTE_FORCE_CAP, check_cubic_bruteforce, check_cubic_by_support
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import NielsenMove
+from prplab.prp import NielsenMove, PrpError
 from prplab.schreier import walk_elements
 from prplab.witnesses import NoWitnessError
 from prplab.words import identity, word
@@ -93,7 +94,7 @@ class TestVerify:
         # not the derived one, and nothing argues the growth claim for it.
         cert = build_certificate(CLASSICAL_OMEGA, 2)
         j = cert.checkpoints[0]
-        assert (cert.moves[j].kind, cert.moves[j + 1].kind) == ("L", "R")
+        assert [NielsenMove.parse(t).kind for t in cert.moves[j:j + 2]] == ["L", "R"]
         cert.moves[j], cert.moves[j + 1] = cert.moves[j + 1], cert.moves[j]
         assert replay_failures(cert) == []
         result = verify_certificate(cert)
@@ -237,6 +238,64 @@ class TestSerialization:
     def test_malformed_move(self):
         with pytest.raises(Exception):
             NielsenMove.parse("Q+1,2")
+
+    def test_moves_are_canonical_tokens(self):
+        cert = build_certificate(CLASSICAL_OMEGA, 3)
+        assert all(type(t) is str and t == str(NielsenMove.parse(t)) for t in cert.moves)
+        assert parse_certificate(serialize_certificate(cert)).moves == cert.moves
+
+    def test_respelled_moves_parse_to_canonical_tokens(self):
+        # The parser accepts leading zeros and a redundant plus in an index;
+        # each distinct token is canonicalized once, so the respelled
+        # certificate reads, serializes and verifies as the canonical one.
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 3))
+        respelled = text.replace("R+1,5", "R+01,5").replace("R-2,5", "R-+2,5").replace("L+2,5", "L+2,+05")
+        assert respelled.count("R+01,5") == 32 and "R-+2,5" in respelled and "L+2,+05" in respelled
+        cert = parse_certificate(respelled)
+        assert serialize_certificate(cert) == text
+        assert verify_certificate(cert).ok
+
+    @pytest.mark.parametrize("bad", ["Q+1,5", "R+1", "R*1,5", "R+1,5,6", "R+x,5", "R+1,1", "R+0,5"])
+    def test_first_malformed_move_in_file_order_is_reported(self, bad):
+        text = serialize_certificate(build_certificate(CLASSICAL_OMEGA, 3))
+        at = text.index("R+2,5")
+        tampered = text[:at] + bad + text[at + 5:].replace("R+3,5", "L*9,9")
+        assert "L*9,9" in tampered  # a later malformed token, not reported
+        with pytest.raises(CertificateError) as reported:
+            parse_certificate(tampered)
+        with pytest.raises(ValueError) as direct:
+            NielsenMove.parse(bad)
+        assert str(reported.value) == f"malformed certificate field: {direct.value}"
+
+
+_bases = st.lists(st.sampled_from(["a", "b", "c", "d", "ab", "ad", "bc"]), max_size=5).map(tuple)
+_step_labels = st.lists(st.lists(st.tuples(st.integers(-1, 6), st.sampled_from([1, -1])), max_size=3), max_size=4)
+
+
+def _chunks_and_error(chunks) -> tuple[list[list], tuple[type, str] | None]:
+    """The chunks a path yields up to its first error, and that error."""
+    out = []
+    try:
+        for chunk in chunks:
+            out.append(chunk)
+    except (CertificateError, PrpError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bases, st.text("abcd", max_size=12), _step_labels)
+@example(("a", "b", "c"), "abad", [[(1, 1)], [(2, -1), (3, 1)]])  # d spelled bc, no accumulator slot
+@example(("a", "b", "c", "d"), "abad", [[(1, 1)], [(5, 1)]])  # a label reading the spare slot
+@example(("a", "c", "d"), "abad", [])  # no b to spell with
+def test_path_tokens_are_the_object_path_formatted(base, witness, step_labels):
+    # certificates._path yields the canonical tokens of the moves that the
+    # object-valued oracle yields, chunk for chunk, and fails where it fails
+    # with the same error.
+    tokens, error = _chunks_and_error(_path(witness, base, step_labels))
+    objects, oracle_error = _chunks_and_error(object_path(witness, base, step_labels))
+    assert tokens == [[str(mv) for mv in chunk] for chunk in objects]
+    assert error == oracle_error
 
 
 # -- transport against the support oracle -----------------------------------

@@ -14,7 +14,7 @@ from conftest import certificate_mutations, replace_field, replay_failures
 from prplab import cli, words
 from prplab.certificates import build_certificate, parse_certificate, serialize_certificate
 from prplab.cli import main
-from prplab.omega import CLASSICAL_OMEGA
+from prplab.omega import CLASSICAL_OMEGA, MAX_SEQUENCE_LETTERS, OmegaSequence
 from prplab.words import TreeWord
 from test_cli_reach import GRP, command_lines
 
@@ -185,6 +185,41 @@ visits: -
 moves: R+1,5 R+4,5
 checkpoints: 2
 """
+
+
+# One letter above the cap before (dcb)*. A whole process cannot take it as
+# one argument: Linux limits a single argv string to 128 KiB.
+OVER_CAP = "b" * (MAX_SEQUENCE_LETTERS - 2)
+CAP_ERROR = f"sequence has {MAX_SEQUENCE_LETTERS + 1} letters, above the cap of {MAX_SEQUENCE_LETTERS}"
+
+
+def test_sequence_cap_admits_the_cap():
+    assert len(OmegaSequence(OVER_CAP[1:], "dcb").prefix) == MAX_SEQUENCE_LETTERS - 3
+    with pytest.raises(ValueError, match=CAP_ERROR):
+        OmegaSequence(OVER_CAP, "dcb")
+
+
+@pytest.mark.parametrize("argv", [
+    ["schreier", "--m", "1", "--prefix", OVER_CAP, "--omega", "dcb"],
+    ["cert", "build", "--m", "1", "--omega", "dcb" * ((MAX_SEQUENCE_LETTERS + 1) // 3)],
+    ["witness", "sweep", "--prefix", OVER_CAP, "--cycles", "db,dcb", "--n-max", "1"],
+])
+def test_sequence_cap_refuses_family_flags(capsys, argv):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {CAP_ERROR}\n")
+
+
+def test_sequence_cap_refuses_certificate_omega_lines():
+    assert _verify_text(HOSTILE_PREFIX.format(prefix=OVER_CAP)) == (
+        1, "", f"error: malformed certificate field: {CAP_ERROR}\n")
+
+
+def test_sequence_cap_refuses_grp_declarations(capsys, tmp_path):
+    path = tmp_path / "long.grp"
+    path.write_text(f'omega w = "{OVER_CAP}"("dcb")*\ngroup G = grigorchuk(w)\n')
+    code, out, err = run_cli(capsys, "parse", "check", str(path))
+    column = len('omega w = ""(') + len(OVER_CAP) + 1  # the cycle's opening quote
+    assert (code, out.splitlines(), err) == (
+        2, ["status=INVALID", f"diagnostic=line 1, column {column}: {CAP_ERROR}"], "")
 
 
 def test_hostile_base_word_builds_level_arrays_independent_of_its_length(capsys, tmp_path, monkeypatch):

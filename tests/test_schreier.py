@@ -2,7 +2,8 @@ import pytest
 
 from conftest import conjugate_family
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.schreier import SchreierError, schreier, spanning_walk, walk_elements
+from prplab.cli import main
+from prplab.schreier import SchreierError, SchreierGraph, schreier, spanning_walk, walk_elements
 from prplab.witnesses import witness_for
 from prplab.words import identity, word
 
@@ -40,6 +41,17 @@ class TestGraph:
     def test_level_cap(self):
         with pytest.raises(SchreierError):
             schreier(classical_gens(), 15)
+
+    def test_labels_are_read_once_per_listing(self, monkeypatch, capsys):
+        # The label list is built on each read; the DOT dump and the
+        # schreier command list every vertex's edges from one read.
+        reads = []
+        labels = SchreierGraph.labels
+        monkeypatch.setattr(SchreierGraph, "labels", property(lambda self: reads.append(1) or labels.fget(self)))
+        graph = schreier(classical_gens(), 4)
+        assert graph.to_dot().count(" -> ") == 4 * 16 and len(reads) == 1
+        assert main(["schreier", "--m", "4"]) == 0
+        assert capsys.readouterr().out.count(",g") == 8 * 16 and len(reads) == 2
 
     def test_dot_output(self):
         text = schreier(classical_gens(), 1).to_dot()
