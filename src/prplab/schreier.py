@@ -52,8 +52,9 @@ class SchreierGraph:
         for v, s in enumerate(self.vertices):
             lines.append(f'  v{v} [label="{s}"];')
         arcs = [(li, gi) for li, (gi, sign) in enumerate(self.labels) if sign > 0]  # inverses implicit
-        lines += (f'  v{v} -> v{targets[li]} [label="g{gi}"];'
-                  for v, targets in enumerate(self.out) for li, gi in arcs)
+        for v, targets in enumerate(self.out):
+            for li, gi in arcs:
+                lines.append(f'  v{v} -> v{targets[li]} [label="g{gi}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -195,9 +195,8 @@ class TreeWord:
         return set(vertices)
 
     def in_rist(self, s: str) -> bool:
-        """True iff the word fixes every string not beginning with s: its level support is [] or [s]."""
-        keys = portraits(self.omega)
-        return keys.level_support(keys.key(self), len(s)) in ([], [s])
+        """True iff the word fixes every string not beginning with s."""
+        return self.fixes_level(len(s)) and self.support(len(s)) <= {s}
 
     # -- the word problem --------------------------------------------------
 

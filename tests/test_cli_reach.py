@@ -33,8 +33,6 @@ ALLOWED = {
     "words.Portraits.__len__": "perfbench/worker.py reads the key memo's size through it",
     "words.TreeWord.equals": "perfbench/worker.py wraps it; the replay oracle compares with it",
     "cubes.check_cubic_by_support": "perfbench/worker.py wraps it; the tests' transport oracle",
-    **{f"words.TreeWord.{name}": "perfbench/worker.py wraps it; in_rist reads the level support "
-       "in one walk of its own" for name in ("fixes_level", "support")},
     "words.same_action": "public API; TreeWord.equals compares through it",
 }
 

@@ -135,20 +135,6 @@ def test_tree_structure_reads_portrait_nodes(monkeypatch):
             assert not calls, f"{g!r} took {len(calls)} sections after its key"
 
 
-def test_in_rist_walks_the_level_support_once(monkeypatch):
-    # in_rist read the portrait twice, through fixes_level and then support;
-    # it takes one key and one walk of the level support.
-    walks = []
-    walk = Portraits.level_support
-    monkeypatch.setattr(Portraits, "level_support", lambda self, *args: walks.append(args) or walk(self, *args))
-    for name in ("fixes_level", "support"):
-        monkeypatch.setattr(TreeWord, name, lambda *args: pytest.fail("in_rist read the portrait again"))
-    g = witness_for(CLASSICAL_OMEGA, 4)[1]
-    assert [g.in_rist(s) for s in ("1111", "0111", "111", "011", "")] == [True, False, True, False, True]
-    assert not word(CLASSICAL_OMEGA, "a").in_rist("1")
-    assert len(walks) == 6
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(OMEGAS), raw_words, raw_words, raw_words)
 def test_seam_product_matches_full_reduction(omega, x, y, z):
