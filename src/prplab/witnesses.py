@@ -34,7 +34,6 @@ class NoWitnessError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessReport:
-    kind: str  # "classical" | "general"
     m: int
     omega: OmegaSequence
     t_word: TreeWord | None
@@ -91,9 +90,8 @@ def verify_classical(m: int) -> WitnessReport:
     letters_abc = square.word_length("abc")
     bound_ok = letters_abc <= 2 ** (m + 4)
     keys = portraits(CLASSICAL_OMEGA)
-    section_ok = keys.section(keys.key(t), ray) == keys.key(classical_t(0))
+    section_ok = keys.walk(keys.key(t), ray)[1] == keys.key(classical_t(0))
     return WitnessReport(
-        kind="classical",
         m=m,
         omega=CLASSICAL_OMEGA,
         t_word=t,
@@ -174,7 +172,6 @@ def verify_general(omega: OmegaSequence, n: int) -> WitnessReport:
         t = generalized_t(omega, n)
     except NoWitnessError:
         return WitnessReport(
-            kind="general",
             m=n,
             omega=omega,
             t_word=None,
@@ -191,7 +188,6 @@ def verify_general(omega: OmegaSequence, n: int) -> WitnessReport:
     letters_abcd = square.word_length("abcd")
     bound_ok = letters_abcd <= 2 ** (n + 2)
     return WitnessReport(
-        kind="general",
         m=n,
         omega=omega,
         t_word=t,
@@ -204,7 +200,7 @@ def verify_general(omega: OmegaSequence, n: int) -> WitnessReport:
 
 
 def check_ad_order(omega: OmegaSequence, n: int, k: int) -> bool:
-    """Whether (a d_k)^(2^(n-k+1)) is trivial, by repeated squaring.
+    """Whether (a d_k)^(2^(n-k+1)) is trivial, read off its order up to that.
 
     Requires the letter d at position n-1 and 0 <= k < n <= 8.
     """
@@ -212,10 +208,7 @@ def check_ad_order(omega: OmegaSequence, n: int, k: int) -> bool:
         raise ValueError("need 0 <= k < n <= 8")
     if omega.letter_at(n - 1) != "d":
         raise ValueError("check requires the letter d at position n-1; relabel first")
-    g = TreeWord(omega, k, "ad")
-    for _ in range(n - k + 1):
-        g = g * g
-    return g.is_identity()
+    return TreeWord(omega, k, "ad").order(n - k + 1) is not None
 
 
 def witness_for(omega: OmegaSequence, m: int) -> tuple[TreeWord, TreeWord]:

@@ -14,8 +14,8 @@ so concatenate-then-reduce is a sound group law at fixed offset. Deeper
 relations of the actual group are decided once, by minimal portraits over
 the nucleus (`Portraits`, the one model of the generators): identity,
 equality and same action across offsets are all equality of portrait keys,
-and sections, level stabilizers, supports and level permutations walk
-portrait nodes.
+and string images, sections, level stabilizers, supports and level
+permutations walk portrait nodes.
 
 Convention: a word acts on strings by function composition with the
 rightmost letter applied first, so act(u*v, s) == act(u, act(v, s)).
@@ -161,24 +161,11 @@ class TreeWord:
         )
 
     def act(self, s: str) -> str:
-        """Image of the binary string s."""
-        bits = bytearray(s, "ascii")
-        for ch in bits:
-            if ch not in (48, 49):
-                raise WordError(f"act expects a binary string, got {s!r}")
-        for ch in reversed(self.letters):
-            if ch == "a":
-                if bits:
-                    bits[0] ^= 1
-                continue
-            n = 0
-            while n < len(bits) and bits[n] == 49:
-                n += 1
-            if n >= len(bits):
-                continue
-            if self.omega.letter_at(self.offset + n) != ch and n + 1 < len(bits):
-                bits[n + 1] ^= 1
-        return bits.decode("ascii")
+        """Image of the binary string s, read off the word's portrait nodes."""
+        if not set(s) <= {"0", "1"}:
+            raise WordError(f"act expects a binary string, got {s!r}")
+        keys = portraits(self.omega)
+        return keys.walk(keys.key(self), s)[0]
 
     def fixes_level(self, m: int) -> bool:
         """True iff the word fixes every string of length m."""
@@ -212,7 +199,9 @@ class TreeWord:
 
         Repeated squaring finds the least e with g^(2^e) trivial; any order
         dividing a power of two is itself a power of two, so that e is
-        exact. None means the cap fired (possibly infinite order).
+        exact. None means the cap fired (possibly infinite order). A square
+        above MAX_WORD_LETTERS letters raises WordError, below the cap too:
+        None would claim an order above 2**cap_exponent that no square showed.
         """
         if not 0 <= cap_exponent <= 30:
             raise WordError("cap_exponent must be between 0 and 30")
@@ -317,7 +306,8 @@ class Portraits:
     (False, e, x_(k+1)) by the wreath recursion; a longer word is the node
     of its sections, which may be a nucleus element's. So two words, at any
     offsets into one sequence, get one key iff they act alike on the tree.
-    Sections, level supports and level permutations walk these expansions.
+    String images and sections, level supports and level permutations walk
+    these expansions.
     """
 
     def __init__(self, omega: OmegaSequence):
@@ -376,18 +366,23 @@ class Portraits:
             self._nodes.append(portrait)
         return key
 
-    def section(self, key: int, s: str) -> int:
-        """Key of the section at the vertex s, where g(st) = g(s) g|_s(t): a
-        top swap g = (g0, g1) a takes 0t to 1 g1(t), so bit 0 selects g1."""
+    def walk(self, key: int, s: str) -> tuple[str, int]:
+        """The image of the string s and the key of the section at s, where
+        g(st) = g(s) g|_s(t). A node (swap, left, right) sends the bit b to
+        b XOR swap and descends to `right` when that image bit is 1, else to
+        `left`: a top swap g = (g0, g1) a takes 0t to 1 g1(t)."""
+        image = []
         for bit in s:
             swap, left, right = self._nodes[key]
-            key = right if (bit == "1") != swap else left
-        return key
+            one = (bit == "1") != swap
+            image.append("1" if one else "0")
+            key = right if one else left
+        return "".join(image), key
 
     def level_action(self, key: int, m: int, memo: dict) -> np.ndarray:
         """The level-m permutation of the key, as in level_permutations. The
         node (swap, left, right) takes 0t to 0 left(t) and 1t to 1 right(t),
-        or with swap 0t to 1 right(t) and 1t to 0 left(t), as `section` reads
+        or with swap 0t to 1 right(t) and 1t to 0 left(t), as `walk` reads
         it. The memo maps (key, depth) to permutations, for one caller."""
         if key == 0 or m == 0:
             return np.arange(2 ** m)

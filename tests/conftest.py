@@ -34,9 +34,30 @@ def random_word(rng: random.Random, omega: OmegaSequence, max_len: int = 40, off
     return TreeWord(omega, offset, reduce_letters(raw))
 
 
+def act_letters(g: TreeWord, s: str) -> str:
+    """Image of the binary string s, one letter at a time from the right,
+    each by its wreath recursion: a flips the first bit, and x_k flips the
+    bit after the first 0 at depth n when omega_(k+n) != x. The oracle of
+    TreeWord.act and words.level_permutations, which walk portrait nodes."""
+    bits = bytearray(s, "ascii")
+    for ch in reversed(g.letters):
+        if ch == "a":
+            if bits:
+                bits[0] ^= 1
+            continue
+        n = 0
+        while n < len(bits) and bits[n] == 49:
+            n += 1
+        if n >= len(bits):
+            continue
+        if g.omega.letter_at(g.offset + n) != ch and n + 1 < len(bits):
+            bits[n + 1] ^= 1
+    return bits.decode("ascii")
+
+
 def section_at(g: TreeWord, s: str) -> TreeWord:
     """Iterated section at the vertex s, satisfying g(st) = g(s) g|_s(t):
-    the oracle of words.Portraits.section, one sections() call per letter.
+    the oracle of words.Portraits.walk, one sections() call per letter.
 
     With a top swap the input bit selects the opposite wreath component:
     g = (g0, g1) a and g(0t) = 1 g1(t).

@@ -44,6 +44,18 @@ def test_element_order(capsys):
     assert code == 0 and "order=exceeds-cap" in out
 
 
+def test_element_order_length_guard_is_an_error(capsys, monkeypatch):
+    # Squares of abac over (db)* double in length. With room for 4,096
+    # letters the cap 2^8 fires first; under the cap 2^12 a square outgrows
+    # the guard, an error rather than a claim that the order exceeds 2^12.
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 4096)
+    code, out, _ = run_cli(capsys, "element", "order", "--word", "abac", "--omega", "db", "--cap", "8")
+    assert code == 0 and out.endswith("\norder=exceeds-cap\n")
+    code, out, err = run_cli(capsys, "element", "order", "--word", "abac", "--omega", "db", "--cap", "12")
+    assert code == 1 and out == ""
+    assert err == "error: word length guard exceeded during order computation\n"
+
+
 def test_element_sections(capsys):
     code, out, _ = run_cli(capsys, "element", "sections", "--word", "d")
     assert code == 0

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_family, scatter_prints
+from conftest import act_letters, conjugate_family, scatter_prints
 
 from prplab import cubes
 from prplab.cubes import CubeError, check_cubic_bruteforce, check_cubic_by_support
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.schreier import schreier, spanning_walk
 from prplab.witnesses import witness_for
-from prplab.words import TreeWord, identity, level_permutations, level_strings, portraits, word
+from prplab.words import Portraits, TreeWord, identity, level_permutations, level_strings, portraits, word
 
 DB_OMEGA = OmegaSequence("", "db")
 
@@ -36,7 +36,7 @@ def bruteforce_oracle(elements, fingerprint_level=7):
         return True
     strings = level_strings(fingerprint_level)
     index = {s: i for i, s in enumerate(strings)}
-    perms = [np.array([index[g.act(s)] for s in strings], dtype=np.int32) for g in elements]
+    perms = [np.array([index[act_letters(g, s)] for s in strings], dtype=np.int32) for g in elements]
     by_print = {}
 
     def visit(j, acc, eps):
@@ -165,20 +165,24 @@ class TestBruteForce:
             check_cubic_bruteforce([word(CLASSICAL_OMEGA, "a")], level)
 
     def test_generators_alone_act(self, monkeypatch):
-        # Element permutations are composed from the generators' ones, so
-        # the k = 16 family acts once per generator and level-8 string.
+        # The members' level-8 permutations are read off portrait nodes
+        # through one memo: level_action runs once per member of the k = 16
+        # family and twice below each (key, depth) entry it computes, not
+        # once per member and string (88 calls for 36 entries).
         family = family_at_level(4)
-        calls = 0
-        act = TreeWord.act
+        calls, memos = 0, {}
+        level_action = Portraits.level_action
 
-        def counted(self, s):
+        def counted(self, key, m, memo):
             nonlocal calls
             calls += 1
-            return act(self, s)
+            memos[id(memo)] = memo
+            return level_action(self, key, m, memo)
 
-        monkeypatch.setattr(TreeWord, "act", counted)
+        monkeypatch.setattr(Portraits, "level_action", counted)
         assert check_cubic_bruteforce(family, fingerprint_level=8)
-        assert calls <= 4 * 2 ** 8
+        (memo,) = memos.values()
+        assert calls <= len(family) + 2 * len(memo) < len(family) * 2 ** 8
 
 
 @pytest.mark.parametrize("letters, expected", [

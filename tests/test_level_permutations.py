@@ -1,8 +1,8 @@
-"""Differential test: words.level_permutations against TreeWord.act.
+"""Differential test: words.level_permutations against act_letters.
 
 The builder reads the level action of many words off their portrait
-nodes; `act` steps one string through one word letter by letter and
-stays the oracle. Every string of the level is compared.
+nodes; `conftest.act_letters` steps one string through one word letter
+by letter and stays the oracle. Every string of the level is compared.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import act_letters
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.words import WordError, level_permutations, level_strings, word
 
@@ -33,7 +34,7 @@ def test_level_permutations_match_act(omega, offset, m, raws):
     assert perms.dtype == np.min_scalar_type(2 ** m - 1)
     strings = level_strings(m)
     for w, row in zip(words, perms.tolist()):
-        assert [strings[i] for i in row] == [w.act(s) for s in strings]
+        assert [strings[i] for i in row] == [act_letters(w, s) for s in strings]
 
 
 def test_mixed_offsets_or_sequences_are_refused():

@@ -1,5 +1,6 @@
 """Differential tests: portrait keys against the section recursion and
-the bisimulation.
+the bisimulation, and images of strings against the letter-by-letter
+action (`conftest.act_letters`).
 
 `words.Portraits` keys a word by its minimal portrait over the nucleus.
 Two words at one offset must share a key exactly when u * v^-1 is the
@@ -11,7 +12,7 @@ section trees are bisimilar (`conftest.bisimilar`).
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisimilar, section_at, section_identity, string_leaf_keys
+from conftest import act_letters, bisimilar, section_at, section_identity, string_leaf_keys
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.words import TreeWord, portraits, same_action, word
 
@@ -102,7 +103,7 @@ def test_nucleus_expansions_are_the_wreath_recursion(omega):
         for x in "abcd":
             g = word(omega, x, k)
             for bit in "01":
-                assert keys.section(keys.key(g), bit) == keys.key(section_at(g, bit))
+                assert keys.walk(keys.key(g), bit)[1] == keys.key(section_at(g, bit))
 
 
 @settings(max_examples=400, deadline=None)
@@ -168,3 +169,16 @@ def test_long_word_collapses_to_a_nucleus_element():
     long_b = word(CLASSICAL_OMEGA, "ba" * 16) * b
     assert len(long_b.letters) == 33
     assert keys.key(long_b) == keys.key(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sequences, st.integers(min_value=0, max_value=5), raw_words, st.text("01", max_size=13))
+@example(CLASSICAL_OMEGA, 0, "", "")
+@example(OmegaSequence("", "b"), 5, "abacabad", "")
+@example(OmegaSequence("cd", "bcd"), 3, "dabacabadac", "1111111111110")
+@example(OmegaSequence("bc", "d"), 1, "adacab", "1111101")
+def test_act_walk_matches_act_letters(omega, offset, raw, s):
+    # TreeWord.act reads a string's image off the word's portrait nodes;
+    # the letter-by-letter wreath recursion is its oracle.
+    g = word(omega, raw, offset)
+    assert g.act(s) == act_letters(g, s)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import conjugate_family
+from conftest import act_letters, conjugate_family
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.cli import main
 from prplab.schreier import SchreierError, SchreierGraph, schreier, spanning_walk, walk_elements
@@ -83,7 +83,7 @@ class TestSpanningWalk:
         assert len(hs) == len(walk.visits)
         assert hs[0].letters == ""
         for h, s in zip(hs, walk.visits):
-            assert h.act(walk.start) == s
+            assert act_letters(h, walk.start) == s
         # h_{i+1} h_i^-1 is the step word: one letter or fewer per label
         steps = [after * before.inverse() for before, after in zip(hs, hs[1:])]
         for step, labels in zip(steps, walk.step_labels):

@@ -1,8 +1,9 @@
 """Differential tests: the portrait node walk and seam products against their slow oracles.
 
 `fixes_level`, `support` and `in_rist` walk the nodes of the portrait
-that `is_identity` already keyed, and `Portraits.section` descends them;
-the oracles act on every level string or take sections vertex by vertex.
+that `is_identity` already keyed, and `Portraits.walk` descends them;
+the oracles act on every level string letter by letter (`act_letters`)
+or take sections vertex by vertex.
 Products cancel only at the seam; the oracle reduces the whole
 concatenation. Equality goes through portrait keys; the oracle is the
 section recursion.
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisimilar, section_at, section_identity
+from conftest import act_letters, bisimilar, section_at, section_identity
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.witnesses import witness_for
 from prplab.words import (
@@ -58,7 +59,7 @@ def elements(draw) -> TreeWord:
 
 
 def fixes_level_oracle(g: TreeWord, m: int) -> bool:
-    return all(g.act(s) == s for s in level_strings(m))
+    return all(act_letters(g, s) == s for s in level_strings(m))
 
 
 def support_oracle(g: TreeWord, m: int) -> set[str]:
@@ -108,7 +109,7 @@ def test_section_key_descent_matches_section_at(g, s, raw, offset):
     # offset and at another.
     keys = portraits(g.omega)
     section = section_at(g, s)
-    descended = keys.section(keys.key(g), s)
+    descended = keys.walk(keys.key(g), s)[1]
     assert descended == keys.key(section)
     others = [word(g.omega, x, len(s)) for x in "abcd"] + [word(g.omega, raw, offset)]
     for h in others:
