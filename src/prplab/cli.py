@@ -348,14 +348,8 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group name (builtin alias or declaration in --grp)")
 
 
-@functools.cache  # built on the first main call, then reused: a parse leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="prplab", description=__doc__)
-    top.add_argument("--version", action="version", version=f"prplab {__version__}")
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    p_el = sub.add_parser("element", help="reduced-word operations")
-    el_sub = p_el.add_subparsers(dest="element_cmd", required=True)
+def _wire_element(p: argparse.ArgumentParser) -> None:
+    el_sub = p.add_subparsers(dest="element_cmd", required=True)
     for name in ("reduce", "act", "order", "sections"):
         q = el_sub.add_parser(name)
         q.add_argument("--word", required=True)
@@ -367,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_family_options(q)
         q.set_defaults(func=_cmd_element)
 
-    p_w = sub.add_parser("witness", help="rigid-stabilizer witness reports")
-    w_sub = p_w.add_subparsers(dest="witness_cmd", required=True)
+
+def _wire_witness(p: argparse.ArgumentParser) -> None:
+    w_sub = p.add_subparsers(dest="witness_cmd", required=True)
     q = w_sub.add_parser("classical")
     q.add_argument("--m", type=int, required=True)
     q.set_defaults(func=_cmd_witness)
@@ -382,22 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-max", dest="n_max", type=int, default=5)
     q.set_defaults(func=_cmd_witness)
 
-    q = sub.add_parser("schreier", help="level action graph")
+
+def _wire_schreier(q: argparse.ArgumentParser) -> None:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--dot", action="store_true")
     _add_family_options(q)
     q.set_defaults(func=_cmd_schreier)
 
-    q = sub.add_parser("walk", help="spanning walk of a level graph")
+
+def _wire_walk(q: argparse.ArgumentParser) -> None:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--start", help="generator words separated by ';' (default a;b;c;d)")
     q.add_argument("--start-vertex", dest="start_vertex")
     _add_family_options(q)
     q.set_defaults(func=_cmd_walk)
 
-    p_c = sub.add_parser("cert", help="growth certificates")
-    c_sub = p_c.add_subparsers(dest="cert_cmd", required=True)
+
+def _wire_cert(p: argparse.ArgumentParser) -> None:
+    c_sub = p.add_subparsers(dest="cert_cmd", required=True)
     q = c_sub.add_parser("build")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--base", default="a;b;c;d", help="base tuple words separated by ';'")
@@ -408,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file", nargs="?", help="certificate file (default stdin)")
     q.set_defaults(func=_cmd_cert)
 
-    p_p = sub.add_parser("prp", help="product replacement graph exploration")
-    pp_sub = p_p.add_subparsers(dest="prp_cmd", required=True)
+
+def _wire_prp(p: argparse.ArgumentParser) -> None:
+    pp_sub = p.add_subparsers(dest="prp_cmd", required=True)
     q = pp_sub.add_parser("ball")
     q.add_argument("--radius", type=int, required=True)
     q.add_argument("--budget", type=int, default=5_000_000)
@@ -434,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-tuples", dest="max_tuples", type=int, default=10_000_000)
     q.set_defaults(func=_cmd_prp_components)
 
-    q = sub.add_parser("rw-speed", help="seeded random walk distance statistics")
+
+def _wire_rw_speed(q: argparse.ArgumentParser) -> None:
     q.add_argument("--steps", type=int, default=40)
     q.add_argument("--trials", type=int, default=200)
     q.add_argument("--radius", type=int, default=10)
@@ -450,23 +450,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(q)
     q.set_defaults(func=_cmd_rw_speed)
 
-    p_parse = sub.add_parser("parse", help=".grp file checks")
-    pc_sub = p_parse.add_subparsers(dest="parse_cmd", required=True)
+
+def _wire_parse(p: argparse.ArgumentParser) -> None:
+    pc_sub = p.add_subparsers(dest="parse_cmd", required=True)
     q = pc_sub.add_parser("check")
     q.add_argument("file")
     q.set_defaults(func=_cmd_parse_check)
 
-    q = sub.add_parser("ad-order", help="dihedral order check for a d_k")
+
+def _wire_ad_order(q: argparse.ArgumentParser) -> None:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     _add_family_options(q)
     q.set_defaults(func=_cmd_ad_order)
 
+
+# Each command's name -> (help, wiring), in the order of the usage line.
+COMMANDS = {
+    "element": ("reduced-word operations", _wire_element),
+    "witness": ("rigid-stabilizer witness reports", _wire_witness),
+    "schreier": ("level action graph", _wire_schreier),
+    "walk": ("spanning walk of a level graph", _wire_walk),
+    "cert": ("growth certificates", _wire_cert),
+    "prp": ("product replacement graph exploration", _wire_prp),
+    "rw-speed": ("seeded random walk distance statistics", _wire_rw_speed),
+    "parse": (".grp file checks", _wire_parse),
+    "ad-order": ("dihedral order check for a d_k", _wire_ad_order),
+}
+
+
+@functools.cache  # built on a command's first main call, then reused: a parse leaves it unchanged
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command name, with the arguments of `command`
+    only, or of every command when it is None. The top-level usage and
+    help list every command either way."""
+    top = _Parser(prog="prplab", description=__doc__)
+    top.add_argument("--version", action="version", version=f"prplab {__version__}")
+    sub = top.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, wire) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            wire(p)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -19,9 +19,10 @@ permutations get equal prints, and distinct prints mean distinct
 products. The print is linear in P, so the prints of all left-half times
 right-half products are one dense matrix product of the left half's
 products against weights gathered through the right half's inverses (see
-`check_cubic_bruteforce`). The prints are sorted and neighbours compared;
-only when two prints meet are they argsorted into runs, and each run is
-settled by the products' portrait keys.
+`check_cubic_bruteforce`), which BLAS computes in blocks small enough to
+stay on the calling thread. The prints are sorted and neighbours
+compared; only when two prints meet are they argsorted into runs, and
+each run is settled by the products' portrait keys.
 
 The certificate verifier runs the brute-force route for k <= 16 and
 proves the support condition by transport instead of computing it, so
@@ -39,6 +40,10 @@ from .words import TreeWord, WordError, identity, level_permutations, portraits
 
 BRUTE_FORCE_CAP = 16
 _BLOCK = 1 << 16  # entries of one block of weights or widened indices: one row at level 16
+# Multiply-adds of one print product. OpenBLAS runs a GEMM of at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (default 4) multiply-adds on the
+# calling thread (interface/gemm.c), and numpy's wheels bundle OpenBLAS.
+_ONE_THREAD = 1 << 18
 
 
 class CubeError(ValueError):
@@ -130,19 +135,21 @@ def _prints(left: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     right[j]^-1: the sum over y of left[i, y] * w[inverses[j, y]].
 
     The weights are gathered for a block of at most _BLOCK float64 entries
-    at a time (one gather, w[inverses[block]]) and multiplied into their
-    columns of the one prints array. `left` goes in as it is: np.einsum
-    casts its integer entries to float64 in small buffers of its own. The
-    product runs in np.einsum on the calling thread, not BLAS: on a 2-vCPU
-    host an unpinned BLAS float64 product of 256x256x256 wakes a second
-    thread and costs more CPU than the einsum, and exactness needs no
-    BLAS."""
+    at a time (one gather, w[inverses[block]]), and rows of `left`, cast to
+    float64 a few at a time, are multiplied against them by BLAS into their
+    block of the one prints array. Each product has at most _ONE_THREAD
+    multiply-adds, so BLAS runs it on the calling thread: on a 2-vCPU host
+    one unpinned 256x256x256 product wakes a second thread, which spins on
+    after the call. Exactness needs no particular summation order."""
     n = left.shape[1]
     w = _weights(n)
-    step = max(1, _BLOCK // n)
+    cols = max(1, _BLOCK // n)
+    rows = max(1, _ONE_THREAD // (cols * n))
     prints = np.empty((len(left), len(inverses)))
-    for j in range(0, len(inverses), step):
-        np.einsum("iy,jy->ij", left, w[inverses[j:j + step]], out=prints[:, j:j + step])
+    for j in range(0, len(inverses), cols):
+        weights = w[inverses[j:j + cols]]
+        for i in range(0, len(left), rows):
+            np.matmul(left[i:i + rows].astype(np.float64), weights.T, out=prints[i:i + rows, j:j + cols])
     return prints
 
 

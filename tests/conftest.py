@@ -170,6 +170,18 @@ def scatter_prints(perms: np.ndarray) -> np.ndarray:
     return np.einsum("iy,jy->ij", left.astype(np.float64), weights)
 
 
+def prints_einsum(left: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """prints[i, j] of cubes._prints, from np.einsum over blocks of at most
+    cubes._BLOCK gathered weights: the oracle of its BLAS blocks."""
+    n = left.shape[1]
+    w = cubes._weights(n)
+    step = max(1, cubes._BLOCK // n)
+    prints = np.empty((len(left), len(inverses)))
+    for j in range(0, len(inverses), step):
+        np.einsum("iy,jy->ij", left, w[inverses[j:j + step]], out=prints[:, j:j + step])
+    return prints
+
+
 def conjugate_family(g: TreeWord, gens: tuple[TreeWord, ...], walk: SpanningWalk) -> list[TreeWord]:
     """Conjugates h_i g h_i^-1, one per visited vertex of a walk over gens.
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -505,10 +506,12 @@ def test_parse_check(capsys, tmp_path):
 
 def test_cli_import_leaves_grp_parser_out():
     # Only --grp and parse check read a .grp file; no other command should
-    # compile the parser at start-up. A fresh interpreter, since this one
-    # may have imported it already.
+    # compile the parser at start-up, and no argument parser is built before
+    # main names its command. A fresh interpreter, since this one may have
+    # imported it already.
     src = str(Path(cli.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import prplab.cli; sys.exit('prplab.grpfile' in sys.modules)"
+    code = (f"import sys; sys.path.insert(0, {src!r}); import prplab.cli; "
+            "sys.exit('prplab.grpfile' in sys.modules or prplab.cli.build_parser.cache_info().currsize)")
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
@@ -577,21 +580,57 @@ def run_any(capsys, argv):
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch, cold_parser):
-    builds = []
+    # main wires the arguments of the command its first word names, and
+    # builds that parser on the command's first call only.
+    builds, wired = [], []
 
-    class Counted(cli._Parser):
+    class Counted(cli._Parser):  # sub-parsers take their parent's class
         def __init__(self, *args, **kwargs):
             if kwargs.get("prog") == "prplab":  # the top parser, not a subcommand's
                 builds.append(1)
             super().__init__(*args, **kwargs)
 
+        def add_argument(self, *args, **kwargs):
+            wired.append(self.prog)
+            return super().add_argument(*args, **kwargs)
+
     monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run_any(capsys, ["cert", "build", "--m", "1"])[0] == 0
+    assert "prplab cert build" in wired and "prplab prp ball" not in wired
     assert run_any(capsys, ["element", "reduce", "--word", "aabc"])[0] == 0
     assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1  # rejected by the parser
     assert run_any(capsys, ["element", "reduce", "--word", "xyz"])[0] == 1  # by the engine
     code, out, _ = run_any(capsys, ["element", "order", "--word", "ad"])
     assert code == 0 and "order=4" in out
-    assert len(builds) == 1
+    assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1
+    assert run_any(capsys, ["cert", "build", "--m", "1"])[0] == 0
+    assert len(builds) == 3
+    assert "prplab prp ball" in wired
+
+
+def nested_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The sub-command parsers of `parser`, by name; empty if it has none."""
+    return {name: p for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+            for name, p in action.choices.items()}
+
+
+def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, cold_parser):
+    # The parser wired for one command answers every command line, help and
+    # usage errors included, byte for byte as the parser of all commands.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    full = cli.build_parser(None)
+    lines = [["cert", "verify", "a", "b"], ["cert"], ["frobnicate"], [], ["prp", "ball", "--radius", "x"],
+             ["--help"], ["--version"]]
+    for name, parser in nested_commands(full).items():
+        lines += [[name, "--help"]] + [[name, sub, "--help"] for sub in nested_commands(parser)]
+    assert list(nested_commands(full)) == list(cli.COMMANDS)
+    assert ["prp", "ball", "--help"] in lines and ["parse", "check", "--help"] in lines
+    lines += [argv for argv, _ in command_lines(tmp_path)]
+    chosen = [run_any(capsys, argv) for argv in lines]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda command=None: full)
+        assert [run_any(capsys, argv) for argv in lines] == chosen
+    assert chosen[0][:2] == (1, "") and chosen[0][2].startswith("usage: prplab [-h] [--version]\n")
 
 
 def test_warm_parser_matches_cold_parser(capsys, monkeypatch, tmp_path, cold_parser):

@@ -1,12 +1,16 @@
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import act_letters, conjugate_family, scatter_prints
+from conftest import act_letters, conjugate_family, prints_einsum, scatter_prints
 
 from prplab import cubes
 from prplab.cubes import CubeError, check_cubic_bruteforce, check_cubic_by_support
@@ -243,6 +247,59 @@ def test_halves_widen_indices_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < left.nbytes + inverses.nbytes + 8 * cubes._BLOCK + 2 ** 18
+
+
+@settings(deadline=None, max_examples=80)
+@given(k=st.integers(1, 16), level=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([cubes._BLOCK, 5, 64, 1000]),
+       one_thread=st.sampled_from([cubes._ONE_THREAD, 1, 777, 2 ** 12]))
+# Column blocks of 5 and row blocks of 3000 // (5 * 16) = 37, the last of each short.
+@example(k=16, level=4, seed=1, block=80, one_thread=3000)
+@example(k=16, level=12, seed=2, block=cubes._BLOCK, one_thread=cubes._ONE_THREAD)
+def test_blas_prints_match_einsum_oracle(k, level, seed, block, one_thread):
+    # BLAS sums each print in another order than np.einsum, and in other
+    # blocks when the bounds shrink. Every partial sum is an integer below
+    # 2^53, so the float64 prints must be equal, entry for entry.
+    n = 2 ** level
+    rng = np.random.default_rng(seed)
+    perms = np.array([rng.permutation(n) for _ in range(k)], np.min_scalar_type(n - 1))
+    left, inverses = cubes._halves(perms)
+    want = prints_einsum(left, inverses)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cubes, "_BLOCK", block)
+        patch.setattr(cubes, "_ONE_THREAD", one_thread)
+        got = cubes._prints(left, inverses)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_m4_prints_stay_on_the_calling_thread():
+    # One unpinned 256x256x256 BLAS product for the m = 4 prints woke
+    # OpenBLAS's second thread on a 2-vCPU host, which then spun: 138 ms CPU
+    # over the call and the next 0.3 s, where the one-thread blocks take
+    # about 3 ms. A fresh process, so that no earlier test has woken the
+    # BLAS threads; on a one-CPU host the test passes trivially.
+    src = str(Path(cubes.__file__).parents[1])
+    code = textwrap.dedent(f"""
+        import resource, sys, time
+        sys.path.insert(0, {src!r})
+        import numpy as np
+        from prplab import cubes
+
+        def cpu():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        rng = np.random.default_rng(0)  # k = 16 members at level 8, as the m = 4 check
+        halves = cubes._halves(np.array([rng.permutation(256) for _ in range(16)], np.uint8))
+        time.sleep(0.3)
+        start = cpu()
+        cubes._prints(*halves)
+        time.sleep(0.3)
+        print(cpu() - start)
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert float(run.stdout) < 0.05
 
 
 @pytest.mark.parametrize("level", range(17))
