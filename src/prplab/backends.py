@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from .omega import OmegaSequence
 from .words import TreeWord, identity as word_identity, portraits
 
@@ -228,7 +230,7 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def is_generating_modvector(entries: list[ModVectorElement]) -> bool:
-    """Whether residue vectors span (Z_p)^d, by Gaussian elimination."""
+    """Whether residue vectors span (Z_p)^d, by `_spans` over Python ints."""
     if not entries:
         return False
     p = entries[0].p
@@ -238,20 +240,31 @@ def is_generating_modvector(entries: list[ModVectorElement]) -> bool:
             raise BackendError(f"mixed moduli: {e.p} vs {p}")
         if len(e.coords) != d:
             raise BackendError("mixed dimensions in tuple")
-    rows = [list(e.coords) for e in entries]
-    rank = 0
+    return bool(_spans(np.array([[e.coords for e in entries]], dtype=object), p)[0])
+
+
+def _spans(vectors: np.ndarray, p: int) -> np.ndarray:
+    """Whether each (n, d) stack of residues spans Z_p^d, by vectorized elimination.
+
+    Each column with a nonzero entry among the remaining rows contributes
+    one to the rank; that pivot row is used to clear the column from every
+    row (itself included), by cross-multiplication so no inverse mod p is
+    needed. The products reach (p-1)^2, which wraps int64 once p is above
+    about 3.04e9; an object array of Python ints never wraps.
+    """
+    a = vectors % p
+    count, n, d = a.shape
+    if not n:
+        return np.zeros(count, dtype=bool)
+    rank = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
     for col in range(d):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
+        column = a[:, :, col]
+        has = (column != 0).any(axis=1)
+        pivot = a[rows, (column != 0).argmax(axis=1)]
+        scale = np.where(has, pivot[:, col], 1)
+        a = (a * scale[:, None, None] - column[:, :, None] * pivot[:, None, :]) % p
+        rank += has
     return rank == d
 
 

@@ -121,7 +121,7 @@ def build_certificate(
     """
     gens = tuple(word(omega, w) for w in base)
     base = tuple(w.letters for w in gens)
-    _, g = witness_for(omega, m)  # may raise NoWitnessError
+    g = witness_for(omega, m)  # may raise NoWitnessError
     graph = schreier(gens, m)
     if not graph.connected:
         raise CertificateError(f"level-{m} Schreier graph is disconnected")

@@ -19,7 +19,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend
+from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend, _spans
 
 
 class PrpError(ValueError):
@@ -147,7 +147,6 @@ def bfs_layers(backend: GroupBackend, start: tuple, radius: int, budget: int) ->
 class BallTable:
     """Cumulative ball sizes by radius around one tuple."""
 
-    degree: int
     rows: list[tuple[int, int]] = field(default_factory=list)
     truncated: bool = False
 
@@ -177,7 +176,7 @@ def ball(backend: GroupBackend, start: tuple, radius: int, budget: int = 5_000_0
     """
     if radius < 0 or budget < 1:
         raise PrpError(f"need radius >= 0 and budget >= 1, got radius {radius} and budget {budget}")
-    table = BallTable(degree=len(moves_for(len(start))))
+    table = BallTable()
     count = 0
     # Sizes only: the frontier frees each layer's keys once it has expanded them.
     sizes = map(lambda layer: len(layer[0]), _frontier(_rows_for(backend, start), radius, budget))
@@ -390,7 +389,8 @@ def _rows_for(backend: GroupBackend, start: tuple):
     return _IdRows(backend, start)
 
 
-# Neighbour keys one frontier chunk may produce; bounds the chunk's arrays.
+# Keys one chunk may produce, of frontier neighbours or census candidates;
+# bounds the chunk's arrays.
 _CHUNK_KEYS = 1 << 16
 
 
@@ -523,17 +523,11 @@ def _new_keys(rows, packing: _Packing, chunk: np.ndarray, seen: np.ndarray) -> n
 
 @dataclass
 class ComponentCensus:
-    backend_name: str
-    tuple_size: int
     vertex_count: int
     sizes: list[int]  # descending
 
     def summary(self) -> str:
         return f"{len(self.sizes)} components: {','.join(str(s) for s in self.sizes)}"
-
-
-# Candidate tuples decoded at once while the census filters generating ones.
-_CENSUS_CHUNK = 1 << 16
 
 
 def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> ComponentCensus:
@@ -557,8 +551,8 @@ def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> Componen
     p = backend.p
     packing = _Packing(p, 0, n, backend.d)
     vertices = []
-    for lo in range(0, total, _CENSUS_CHUNK):
-        index = np.arange(lo, min(total, lo + _CENSUS_CHUNK), dtype=np.int64)
+    for lo in range(0, total, _CHUNK_KEYS):
+        index = np.arange(lo, min(total, lo + _CHUNK_KEYS), dtype=np.int64)
         vertices.append(index[_spans(packing.unpack(index), p)])
     vertices = np.concatenate(vertices)
     entries = packing.unpack(vertices)
@@ -587,35 +581,9 @@ def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> Componen
         label = new
     sizes = np.bincount(label)
     return ComponentCensus(
-        backend_name=backend.describe(),
-        tuple_size=n,
         vertex_count=len(vertices),
         sizes=sorted(sizes[sizes > 0].tolist(), reverse=True),
     )
-
-
-def _spans(vectors: np.ndarray, p: int) -> np.ndarray:
-    """Whether each (n, d) stack of residues spans Z_p^d, by vectorized elimination.
-
-    Each column with a nonzero entry among the remaining rows contributes
-    one to the rank; that pivot row is used to clear the column from every
-    row (itself included), by cross-multiplication so no inverse mod p is
-    needed.
-    """
-    a = vectors % p
-    count, n, d = a.shape
-    if not n:
-        return np.zeros(count, dtype=bool)
-    rank = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
-    for col in range(d):
-        column = a[:, :, col]
-        has = (column != 0).any(axis=1)
-        pivot = a[rows, (column != 0).argmax(axis=1)]
-        scale = np.where(has, pivot[:, col], 1)
-        a = (a * scale[:, None, None] - column[:, :, None] * pivot[:, None, :]) % p
-        rank += has
-    return rank == d
 
 
 def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: int = 2000) -> str:

@@ -40,7 +40,6 @@ class WalkStats:
     censor_radius: int  # distances above this are censored
     distances: list[int | None] = field(default_factory=list)  # None = censored
     requested_radius: int = 0
-    ball_truncated: bool = False
 
     @property
     def exact_count(self) -> int:
@@ -238,7 +237,7 @@ class _ArrayDistances:
 
 
 def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int):
-    """BFS distances out to radius; returns (lookup, complete_radius, truncated).
+    """BFS distances out to radius; returns (lookup, complete_radius).
 
     lookup.walk(moves, draws) walks and looks up the endpoints' distances
     in one go, None for an endpoint outside the map. The map is the
@@ -248,8 +247,7 @@ def _distance_map(backend: GroupBackend, start: tuple, radius: int, budget: int)
     """
     rows = _rows_for(backend, start)
     layers = list(_frontier(rows, radius, budget))
-    complete = len(layers) - 1
-    return _ArrayDistances(rows, layers), complete, complete < radius and len(layers[-1][0]) > 0
+    return _ArrayDistances(rows, layers), len(layers) - 1
 
 
 def rw_speed(
@@ -269,7 +267,7 @@ def rw_speed(
     moves = moves_for(len(start))
     if not moves:
         raise ValueError("tuples of size < 2 admit no moves")
-    lookup, complete, truncated = _distance_map(backend, start, radius, budget)
+    lookup, complete = _distance_map(backend, start, radius, budget)
 
     distances: list[int | None] = []
     for lo in range(0, trials, _SEED_BLOCK):
@@ -283,5 +281,4 @@ def rw_speed(
         censor_radius=complete,
         distances=distances,
         requested_radius=radius,
-        ball_truncated=truncated,
     )

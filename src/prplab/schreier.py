@@ -41,10 +41,10 @@ class SchreierGraph:
         return [(i + 1, s) for i in range(len(self.generators)) for s in (1, -1)]
 
     def index_of(self, s: str) -> int:
-        v = int(s, 2) if s else 0
-        if not 0 <= v < len(self.vertices) or self.vertices[v] != s:
+        # Checked before int(), which also reads signs, spaces, "_" and other digits.
+        if len(s) != self.level or not set(s) <= {"0", "1"}:
             raise SchreierError(f"{s!r} is not a level-{self.level} vertex")
-        return v
+        return int(s, 2) if s else 0
 
     def to_dot(self) -> str:
         lines = ["digraph schreier {"]

@@ -9,6 +9,13 @@ constant: after relabeling letters so that position n-1 carries d, words
 are grown downward from "ad" by inserting blocks, doubling in length per
 level. Reports record what held and what did not instead of raising, so
 sweeps over many sequences produce tables.
+
+Both words t start with a and end in a letter of {b, c, d}: the
+classical rewriting sends the first letter a to aba and each letter of
+{b, c, d} into {b, c, d}, and every rung of the ladder is built of blocks
+a y a x, starting from ad. So t * t cancels nothing where the copies
+meet, and t^2 has exactly twice the letters of t: 8 * 2^m for the
+classical word at level m, 4 * 2^n for the generalized one at level n.
 """
 
 from __future__ import annotations
@@ -34,30 +41,44 @@ class NoWitnessError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """What held for t^2; the defaults are the report of no witness."""
+
     m: int
-    omega: OmegaSequence
-    t_word: TreeWord | None
-    letters_abcd: int
-    letters_abc: int
-    nontrivial: bool
-    rist_ok: bool
-    bound_ok: bool
+    t_word: TreeWord | None = None
+    letters_abcd: int = 0
+    letters_abc: int = 0
+    nontrivial: bool = False
+    rist_ok: bool = False
+    bound_ok: bool = False
     section_ok: bool | None = None
     no_witness: bool = False
 
     @property
     def valid(self) -> bool:
-        if self.no_witness:
-            return False
-        ok = self.nontrivial and self.rist_ok and self.bound_ok
-        if self.section_ok is not None:
-            ok = ok and self.section_ok
-        return ok
+        return self.nontrivial and self.rist_ok and self.bound_ok and self.section_ok is not False
 
     def status(self) -> str:
         if self.no_witness:
             return "NO-WITNESS"
         return "VALID" if self.valid else "INVALID"
+
+
+def _report(
+    m: int, t: TreeWord, bound_set: str, bound: int, section_ok: bool | None = None
+) -> WitnessReport:
+    """Check that t^2 is nontrivial, lies in Rist(1^m) and has at most
+    `bound` letters counted over `bound_set`."""
+    square = t * t
+    return WitnessReport(
+        m=m,
+        t_word=t,
+        letters_abcd=square.word_length("abcd"),
+        letters_abc=square.word_length("abc"),
+        nontrivial=not square.is_identity(),
+        rist_ok=square.in_rist("1" * m),
+        bound_ok=square.word_length(bound_set) <= bound,
+        section_ok=section_ok,
+    )
 
 
 def classical_t(m: int) -> TreeWord:
@@ -82,26 +103,9 @@ def verify_classical(m: int) -> WitnessReport:
     word at 1^m acts like the base word abab.
     """
     t = classical_t(m)
-    square = t * t
-    ray = "1" * m
-    nontrivial = not square.is_identity()
-    rist_ok = square.in_rist(ray)
-    letters_abcd = square.word_length("abcd")
-    letters_abc = square.word_length("abc")
-    bound_ok = letters_abc <= 2 ** (m + 4)
     keys = portraits(CLASSICAL_OMEGA)
-    section_ok = keys.walk(keys.key(t), ray)[1] == keys.key(classical_t(0))
-    return WitnessReport(
-        m=m,
-        omega=CLASSICAL_OMEGA,
-        t_word=t,
-        letters_abcd=letters_abcd,
-        letters_abc=letters_abc,
-        nontrivial=nontrivial,
-        rist_ok=rist_ok,
-        bound_ok=bound_ok,
-        section_ok=section_ok,
-    )
+    section_ok = keys.walk(keys.key(t), "1" * m)[1] == keys.key(classical_t(0))
+    return _report(m, t, "abc", 2 ** (m + 4), section_ok)
 
 
 def relabel_for_d(omega: OmegaSequence, n: int) -> tuple[OmegaSequence, dict[str, str]]:
@@ -171,32 +175,8 @@ def verify_general(omega: OmegaSequence, n: int) -> WitnessReport:
     try:
         t = generalized_t(omega, n)
     except NoWitnessError:
-        return WitnessReport(
-            m=n,
-            omega=omega,
-            t_word=None,
-            letters_abcd=0,
-            letters_abc=0,
-            nontrivial=False,
-            rist_ok=False,
-            bound_ok=False,
-            no_witness=True,
-        )
-    square = t * t
-    nontrivial = not square.is_identity()
-    rist_ok = square.in_rist("1" * n)
-    letters_abcd = square.word_length("abcd")
-    bound_ok = letters_abcd <= 2 ** (n + 2)
-    return WitnessReport(
-        m=n,
-        omega=omega,
-        t_word=t,
-        letters_abcd=letters_abcd,
-        letters_abc=square.word_length("abc"),
-        nontrivial=nontrivial,
-        rist_ok=rist_ok,
-        bound_ok=bound_ok,
-    )
+        return WitnessReport(m=n, no_witness=True)
+    return _report(n, t, "abcd", 2 ** (n + 2))
 
 
 def check_ad_order(omega: OmegaSequence, n: int, k: int) -> bool:
@@ -211,16 +191,13 @@ def check_ad_order(omega: OmegaSequence, n: int, k: int) -> bool:
     return TreeWord(omega, k, "ad").order(n - k + 1) is not None
 
 
-def witness_for(omega: OmegaSequence, m: int) -> tuple[TreeWord, TreeWord]:
-    """Witness pair (t, t^2) for certificate building.
+def witness_for(omega: OmegaSequence, m: int) -> TreeWord:
+    """The witness t^2 for certificate building.
 
     Uses the classical rewriting construction over (dcb)* and the
     generalized construction otherwise.
 
     Raises NoWitnessError for eventually constant sequences.
     """
-    if omega == CLASSICAL_OMEGA:
-        t = classical_t(m)
-    else:
-        t = generalized_t(omega, m)
-    return t, t * t
+    t = classical_t(m) if omega == CLASSICAL_OMEGA else generalized_t(omega, m)
+    return t * t

@@ -11,7 +11,7 @@ from prplab import cubes, prp
 from prplab.backends import TreeBackend
 from prplab.certificates import CertificateError
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers, moves_for
+from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers
 from prplab.schreier import Label, SchreierError, SpanningWalk, walk_elements
 from prplab.words import TreeWord, identity, reduce_letters, word
 
@@ -139,10 +139,31 @@ def mod_elements(backend) -> list:
     return [backend.element(c) for c in itertools.product(range(backend.p), repeat=backend.d)]
 
 
+def spans_scalar(rows: list[tuple[int, ...]], p: int, d: int) -> bool:
+    """Whether the residue vectors `rows` span Z_p^d, by Gauss-Jordan
+    elimination one row at a time over Python ints: the oracle of
+    backends._spans."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(d):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                factor = rows[r][col]
+                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == d
+
+
 def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:
     """The ball table from prp.bfs_layers, one element tuple at a time:
     the oracle of prp.ball's array frontier."""
-    table = BallTable(degree=len(moves_for(len(start))))
+    table = BallTable()
     count = 0
     for r, layer in enumerate(bfs_layers(backend, start, radius, budget)):
         count += len(layer)

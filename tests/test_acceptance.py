@@ -145,7 +145,7 @@ def test_criterion_07_cubicity_oracles():
     started = time.monotonic()
     gens = classical_gens()
     for m in range(0, 4):
-        _, sq = witness_for(CLASSICAL_OMEGA, m)
+        sq = witness_for(CLASSICAL_OMEGA, m)
         walk = spanning_walk(schreier(gens, m), "1" * m)
         family = conjugate_family(sq, gens, walk)
         by_support = check_cubic_by_support(family, m).ok
@@ -156,7 +156,7 @@ def test_criterion_07_cubicity_oracles():
     assert check_cubic_bruteforce([d, d]) is False
     assert check_cubic_by_support([d, d], 1).ok is False
     # k = 16: full enumeration of 65536 products
-    _, sq = witness_for(CLASSICAL_OMEGA, 4)
+    sq = witness_for(CLASSICAL_OMEGA, 4)
     walk = spanning_walk(schreier(gens, 4), "1111")
     family = conjugate_family(sq, gens, walk)
     assert len(family) == 16

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mod_elements
+from conftest import mod_elements, spans_scalar
 from prplab.backends import (
     BackendError,
     FreeAbelianBackend,
@@ -154,6 +156,41 @@ class TestModVectorGeneration:
             expected *= p ** n - p ** i
         assert count == expected
 
+    def test_dependent_pair_beyond_int64_products_refused(self):
+        # Residues mod this p have products above 2^63: an int64 elimination
+        # takes this dependent pair to span Z_p^2.
+        p = 10_000_000_019
+        rows = [(5922121685, 5369140579), (5819406876, 335935927)]
+        backend = ModVectorBackend(p, 2)
+        assert not spans_scalar(rows, p, 2)
+        assert not backend.is_generating([backend.element(r) for r in rows])
+
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(BackendError):
             ModVectorBackend(4, 2)
+
+
+MOD_BACKENDS = {(p, d): ModVectorBackend(p, d) for p in (2, 3, 5, 101, 10_000_000_019) for d in (1, 2, 3)}
+
+
+@st.composite
+def mod_vector_tuples(draw):
+    """(backend, rows): up to 5 residue vectors, some of them multiples of earlier ones."""
+    backend = MOD_BACKENDS[draw(st.sampled_from(sorted(MOD_BACKENDS)))]
+    residues = st.integers(0, backend.p - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            k = draw(residues)
+            rows.append(tuple(k * c for c in draw(st.sampled_from(rows))))
+        else:
+            rows.append(tuple(draw(st.lists(residues, min_size=backend.d, max_size=backend.d))))
+    return backend, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_vector_tuples())
+def test_is_generating_matches_scalar_elimination(case):
+    backend, rows = case
+    want = spans_scalar(rows, backend.p, backend.d)
+    assert backend.is_generating([backend.element(r) for r in rows]) is want

@@ -97,6 +97,14 @@ def test_walk(capsys):
     assert "visits=2" in out and "total_steps=1" in out
 
 
+@pytest.mark.parametrize("vertex", ["2", " 101", "+101", "1_01", "1111"])
+def test_walk_refuses_a_start_that_is_not_a_vertex(capsys, vertex):
+    # checked before int(), which reads 101 out of " 101", "+101" and "1_01"
+    code, out, err = run_cli(capsys, "walk", "--m", "3", "--start-vertex", vertex)
+    assert (code, out) == (1, "")
+    assert err == f"error: {vertex!r} is not a level-3 vertex\n"
+
+
 def test_cert_build_verify_pipe(capsys, tmp_path):
     path = tmp_path / "cert.txt"
     code, out, _ = run_cli(capsys, "cert", "build", "--omega", "dcb", "--m", "2", "--out", str(path))
@@ -454,6 +462,13 @@ def test_prp_components_two_classes(capsys):
     code, out, _ = run_cli(capsys, "prp", "components", "--group", "zpn", "--p", "3", "--n", "2")
     assert code == 0
     assert "2 components: 24,24" in out
+
+
+def test_prp_refuses_a_dependent_start_beyond_int64_products(capsys):
+    start = "5922121685,5369140579;5819406876,335935927"
+    code, out, err = run_cli(capsys, "prp", "ball", "--group", "zpn", "--p", "10000000019", "--n", "2",
+                             "--start", start, "--radius", "1")
+    assert (code, out, err) == (1, "", "error: start tuple does not generate the group\n")
 
 
 def test_prp_ball_with_rate(capsys):

@@ -24,7 +24,7 @@ DB_OMEGA = OmegaSequence("", "db")
 
 def family_at_level(m):
     gens = tuple(word(CLASSICAL_OMEGA, x) for x in "abcd")
-    _, sq = witness_for(CLASSICAL_OMEGA, m)
+    sq = witness_for(CLASSICAL_OMEGA, m)
     walk = spanning_walk(schreier(gens, m), "1" * m)
     return conjugate_family(sq, gens, walk)
 

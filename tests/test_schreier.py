@@ -103,14 +103,14 @@ class TestSpanningWalk:
 
 class TestConjugateFamily:
     def test_first_conjugate_is_witness(self):
-        _, sq = witness_for(CLASSICAL_OMEGA, 2)
+        sq = witness_for(CLASSICAL_OMEGA, 2)
         graph = schreier(classical_gens(), 2)
         walk = spanning_walk(graph, "11")
         family = conjugate_family(sq, graph.generators, walk)
         assert family[0].equals(sq)
 
     def test_supports_are_disjoint_singletons(self):
-        _, sq = witness_for(CLASSICAL_OMEGA, 2)
+        sq = witness_for(CLASSICAL_OMEGA, 2)
         graph = schreier(classical_gens(), 2)
         walk = spanning_walk(graph, "11")
         family = conjugate_family(sq, graph.generators, walk)

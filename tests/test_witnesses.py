@@ -12,9 +12,10 @@ from prplab.witnesses import (
     relabel_for_d,
     verify_classical,
     verify_general,
+    witness_for,
     witness_ladder,
 )
-from prplab.words import word
+from prplab.words import MAX_LEVEL, word
 
 
 class TestClassical:
@@ -152,6 +153,18 @@ class TestGeneralized:
         assert report.no_witness
         assert report.status() == "NO-WITNESS"
         assert not report.valid
+
+
+@pytest.mark.parametrize("omega, ratio", [(CLASSICAL_OMEGA, 8)] + [
+    (OmegaSequence(prefix, cycle), 4)
+    for prefix, cycle in [("", "db"), ("", "dc"), ("", "bcd"), ("", "cdb"), ("c", "db"), ("bb", "dcb")]
+])
+def test_witness_square_doubles_t(omega, ratio):
+    # t runs from a to a letter of {b, c, d}, so t * t cancels nothing
+    for m in range(MAX_LEVEL + 1):
+        t = classical_t(m) if omega == CLASSICAL_OMEGA else generalized_t(omega, m)
+        assert t.letters[0] == "a" and t.letters[-1] in "bcd"
+        assert len(witness_for(omega, m).letters) == 2 * len(t.letters) == ratio * 2**m
 
 
 class TestAdOrder:
