@@ -136,11 +136,41 @@ class FreeAbelianBackend(GroupBackend):
         return f"Z^{self.d}"
 
 
+# Miller-Rabin to the first 13 prime bases decides every n below
+# _PRIME_LIMIT exactly (Sorenson and Webster, 2015); the limit itself is
+# a strong pseudoprime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether 2 <= n < _PRIME_LIMIT is prime, by deterministic Miller-Rabin."""
+    if n in _PRIME_BASES:
+        return True
+    if any(n % q == 0 for q in _PRIME_BASES):
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class ModVectorBackend(GroupBackend):
     """Vectors of residues mod a prime p, dimension d, under addition."""
 
     def __init__(self, p: int, d: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _PRIME_LIMIT:
+            raise BackendError(f"p must be below {_PRIME_LIMIT}, where primality is decided exactly; got {p}")
+        if p < 2 or not _is_prime(p):
             raise BackendError(f"p must be prime, got {p}")
         if d < 1:
             raise BackendError("dimension must be at least 1")

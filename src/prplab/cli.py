@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .words import MAX_LEVEL, word
 
 USAGE_ERROR = 1
 VERIFY_FAIL = 2
+BROKEN_PIPE = 141  # what a shell reports for a writer stopped by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +223,7 @@ def _cmd_walk(args) -> int:
     omega = _omega_from_args(args)
     gens = _tree_backend_entries(args, omega)
     graph = schreier(gens, args.m)
-    start = args.start_vertex or "1" * args.m
+    start = "1" * args.m if args.start_vertex is None else args.start_vertex
     walk = spanning_walk(graph, start)
     _emit(_header(args, f"family({omega.describe()})"))
     print(f"start={walk.start}")
@@ -480,26 +482,47 @@ COMMANDS = {
 
 
 @functools.cache  # built on a command's first main call, then reused: a parse leaves it unchanged
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command name, with the arguments of `command`
-    only, or of every command when it is None. The top-level usage and
-    help list every command either way."""
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, as the parser of all commands builds it."""
+    parser = _Parser(prog=f"prplab {command}")
+    COMMANDS[command][1](parser)
+    return parser
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for what no command's own parser
+    answers: top-level help and --version, an unknown command, and the
+    report of unrecognized arguments, all under the top-level usage."""
     top = _Parser(prog="prplab", description=__doc__)
     top.add_argument("--version", action="version", version=f"prplab {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
     for name, (help_text, wire) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            wire(p)
+        wire(sub.add_parser(name, help=help_text))
     return top
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, from the parser of the command its first word
+    names; the parser of all commands parses anything else, and reports
+    the arguments that command does not take."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: say nothing, and let nothing flush into the pipe at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -2,14 +2,15 @@
 
 Each trial walks a fixed number of uniform moves from a padded base
 tuple and then asks how far it got. Distances are exact only inside a
-precomputed breadth-first ball, the sorted per-layer keys of the array
-frontier (prp._frontier); endpoints outside it, or not representable
-in a layer's packing, are censored as "> R" rather than estimated.
-Trial i of master seed s walks the moves that
-random.Random(t).randrange(4n(n-1)) gives in turn over n-tuples, one
-draw per step, where t is the first 8 bytes, big-endian, of sha256 of
-"s:i" in ASCII; each trial's result depends only on the seed and its
-index. The draws are computed a block of trials at a time: MT19937 is
+precomputed breadth-first ball, the layers of the array frontier
+(prp._frontier) merged into one sorted table of keys and radii;
+endpoints outside it, or not representable in the table's packing, are
+censored as "> R" rather than estimated. Trial i of master seed s walks
+the moves that random.Random(t).randrange(4n(n-1)) gives in turn over
+n-tuples, one draw per step, where t is the first 8 bytes, big-endian,
+of sha256 of "s:i" in ASCII; each trial's result depends only on the
+seed and its index. The draws are computed a block of trials at a time:
+the block's keys continue one hash of the "s:" prefix, MT19937 is
 seeded across the block in numpy, bit-identical to random.Random, and
 the few trials the block's outputs do not cover draw from random.Random
 itself, which is also the tests' oracle. A block of trials steps
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import GroupBackend
-from .prp import NielsenMove, _frontier, _member, _move_table, _rows_for, moves_for
+from .prp import NielsenMove, _frontier, _move_table, _rows_for, moves_for
 
 # perfbench/selftest.py checks that its tracer wraps these names here too.
 from .prp import apply_move, tuple_key  # noqa: F401
@@ -76,17 +77,12 @@ class WalkStats:
         return "\n".join(lines) + "\n"
 
 
-def _trial_seed(master: int, index: int) -> int:
-    digest = hashlib.sha256(f"{master}:{index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
+# Trial keys digested per join; bounds the joined bytes.
+_DIGEST_CHUNK = 1 << 10
 # Trials walked at once on the array engine; bounds the walk's arrays.
 _TRIAL_BLOCK = 1 << 12
-# Trials seeded at once. Seeding makes the same ~9,000 numpy calls for any
-# block, so small blocks pay numpy's per-call cost: per trial it takes
-# 4.9 us in blocks of 4096, 3.1 us in one block of 10,000 and 2.4 us in
-# blocks of 16,384 (2-vCPU Xeon, numpy 2.4).
+# Trials seeded at once. Seeding makes the same ~7,500 numpy calls for any
+# block, so small blocks pay numpy's per-call cost.
 _SEED_BLOCK = 1 << 14
 
 # MT19937 (Matsumoto and Nishimura, 1998) as CPython's random.Random runs
@@ -96,6 +92,23 @@ _SEED_BLOCK = 1 << 14
 # still the seeded ones, so the first _MT_WORDS outputs need no twist loop.
 _MT_N, _MT_M = 624, 397
 _MT_WORDS = _MT_N - _MT_M
+
+
+def _trial_seeds(master: int, block: range) -> np.ndarray:
+    """The key of each trial of the block as uint64: the first 8 bytes,
+    big-endian, of sha256 of "master:index" in ASCII. Every digest
+    continues one hash of the "master:" prefix, and each chunk of
+    digests is read as big-endian words, every fourth one a key."""
+    prefix = hashlib.sha256(f"{master}:".encode("ascii"))
+    keys = np.empty(len(block), np.uint64)
+    for lo in range(0, len(block), _DIGEST_CHUNK):
+        digests = []
+        for i in block[lo : lo + _DIGEST_CHUNK]:
+            h = prefix.copy()
+            h.update(b"%d" % i)
+            digests.append(h.digest())
+        keys[lo : lo + len(digests)] = np.frombuffer(b"".join(digests), ">u8")[::4]
+    return keys
 
 
 def _genrand_state() -> np.ndarray:
@@ -111,36 +124,32 @@ def _mt_getrandbits(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     random.Random(key) for each uint64 key, as an (n, len(keys)) array.
 
     init_by_array runs as uint32 row operations across the keys. Its first
-    loop rewrites words 1..623 and then word 1 again from word 623, so that
-    loop runs twice on two rows: the first pass gives its final word 1, the
-    second feeds the second loop word by word. Output kk tempers the twist
-    of words kk and kk + 1 xor word kk + 397, and tempering is linear over
-    GF(2), so the top k bits of each part's tempering are xored as the
-    second loop reaches it: n rows of k bits are held, not 2n words.
-    Outputs 0 and 1 read the final word 1 and are made at the loop's end.
+    loop rewrites words 1..623 and then word 1 again from word 623, so one
+    pass of that loop gives its final word 1. A replay of the loop then
+    runs beside the second loop, which reads each of its words in turn:
+    row 0 of a (2, len(keys)) array is the replayed word and row 1 the
+    second loop's, so both are shifted, xored and multiplied by their
+    factors in one call each. Output kk tempers the twist of words kk and
+    kk + 1 xor word kk + 397, and tempering is linear over GF(2), so the
+    top k bits of each part's tempering are xored as the second loop
+    reaches it: n rows of k bits are held, not 2n words. Outputs 0 and 1
+    read the final word 1 and are made at the loop's end.
     """
-    start, t = _genrand_state(), np.empty(len(keys), np.uint32)
+    start, size = _genrand_state(), len(keys)
     low = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     high = (keys >> np.uint64(32)).astype(np.uint32)
     # The first loop adds key[j] + j to word i, j cycling over the key
     # words: j = 0 at odd i, and j = 1 at even i unless the key is below
     # 2^32, one word.
     adds = (np.where(high == 0, low, high + np.uint32(1)), low)
-    bits = np.empty((n, len(keys)), np.min_scalar_type((1 << k) - 1))
+    bits = np.empty((n, size), np.min_scalar_type((1 << k) - 1))
+    factors = np.array([[1664525], [1566083941]], np.uint32)
+    words, spare = np.empty((2, size), np.uint32), np.empty((2, size), np.uint32)
 
-    def mixed(word: np.ndarray, factor: int) -> np.ndarray:
-        np.right_shift(word, np.uint32(30), out=t)
-        np.bitwise_xor(t, word, out=t)
-        return np.multiply(t, np.uint32(factor), out=t)
-
-    def first_loop(word1: np.ndarray):
-        """Words 2..623 of the first loop from its word 1, each one valid
-        until the next is drawn."""
-        word, spare = word1.copy(), np.empty_like(word1)
-        for i in range(2, _MT_N):
-            np.add(np.bitwise_xor(mixed(word, 1664525), start[i], out=t), adds[i % 2], out=spare)
-            word, spare = spare, word
-            yield word
+    def mixed(word: np.ndarray, factor, out: np.ndarray) -> np.ndarray:
+        np.right_shift(word, np.uint32(30), out=out)
+        np.bitwise_xor(out, word, out=out)
+        return np.multiply(out, factor, out=out)
 
     def twisted(upper, lower: np.ndarray) -> np.ndarray:
         y = (upper & np.uint32(0x80000000)) | (lower & np.uint32(0x7FFFFFFF))
@@ -156,31 +165,35 @@ def _mt_getrandbits(keys: np.ndarray, n: int, k: int) -> np.ndarray:
 
     s0, s1 = int(start[0]), int(start[1])
     first1 = low + np.uint32((s1 ^ 1664525 * (s0 ^ s0 >> 30)) & 0xFFFFFFFF)
-    for word in first_loop(first1):
-        pass
-    loop1 = (first1 ^ mixed(word, 1664525)) + adds[0]
-    held = np.empty((2, len(keys)), np.uint32)  # words 397 and 398
-    word, spare = loop1.copy(), np.empty_like(loop1)
-    for i, first in enumerate(first_loop(first1), start=2):
-        np.subtract(np.bitwise_xor(mixed(word, 1566083941), first, out=t), np.uint32(i), out=spare)
-        word, spare = spare, word
+    word, t = words[0], spare[0]
+    word[...] = first1
+    for i in range(2, _MT_N):
+        np.add(np.bitwise_xor(mixed(word, factors[0], t), start[i], out=t), adds[i % 2], out=word)
+    loop1 = (first1 ^ mixed(word, factors[0], t)) + adds[0]
+    held = np.empty((2, size), np.uint32)  # words 397 and 398
+    words[0], words[1] = first1, loop1
+    for i in range(2, _MT_N):
+        first, word = mixed(words, factors, spare)
+        np.add(np.bitwise_xor(first, start[i], out=first), adds[i % 2], out=first)
+        np.subtract(np.bitwise_xor(word, first, out=word), np.uint32(i), out=word)
         if i == 2:
             word2 = word.copy()
         elif i <= n:
-            bits[i - 1] = top(twisted(spare, word))
+            bits[i - 1] = top(twisted(words[1], word))
         if i - _MT_M in (0, 1):
             held[i - _MT_M] = word
         elif 2 <= i - _MT_M < n:
             bits[i - _MT_M] ^= top(word)
-    final1 = (loop1 ^ mixed(word, 1566083941)) - np.uint32(1)
+        words, spare = spare, words
+    final1 = (loop1 ^ mixed(words[1], factors[1], spare[1])) - np.uint32(1)
     for kk, (upper, lower) in enumerate([(0x80000000, final1), (final1, word2)][:n]):
         bits[kk] = top(held[kk] ^ twisted(upper, lower))
     return bits
 
 
-def _move_draws(seed: int, block: range, steps: int, m: int) -> np.ndarray:
-    """(len(block), steps) move indices: row r holds the values
-    random.Random(_trial_seed(seed, block[r])).randrange(m) gives in turn.
+def _move_draws(keys: np.ndarray, steps: int, m: int) -> np.ndarray:
+    """(len(keys), steps) move indices: row r holds the values
+    random.Random(keys[r]).randrange(m) gives in turn.
 
     randrange(m) is getrandbits(k), k = m.bit_length(), redrawn until below
     m. A draw is accepted with probability m / 2^k >= 1/2, so 2 * steps + 8
@@ -188,34 +201,46 @@ def _move_draws(seed: int, block: range, steps: int, m: int) -> np.ndarray:
     not cover, and every trial when steps or k is beyond them, draw from
     random.Random.
     """
-    draws = np.zeros((len(block), steps), dtype=np.min_scalar_type(m - 1))
+    draws = np.zeros((len(keys), steps), dtype=np.min_scalar_type(m - 1))
     k, n = m.bit_length(), min(_MT_WORDS, 2 * steps + 8)
-    rest = range(len(block)) if steps else range(0)
+    rest = range(len(keys)) if steps else range(0)
     if 0 < steps <= n and k <= 32:
-        keys = np.fromiter((_trial_seed(seed, i) for i in block), np.uint64, len(block))
-        taken = np.zeros(len(block), np.uint8)  # at most steps <= _MT_WORDS < 256
+        taken = np.zeros(len(keys), np.uint8)  # at most steps <= _MT_WORDS < 256
         for bits in _mt_getrandbits(keys, n, k):
             at = np.flatnonzero((bits < m) & (taken < steps))
             draws[at, taken[at]] = bits[at]
             taken[at] += 1
         rest = np.flatnonzero(taken < steps).tolist()
     for r in rest:
-        rng = random.Random(_trial_seed(seed, block[r]))
+        rng = random.Random(int(keys[r]))
         draws[r] = [rng.randrange(m) for _ in range(steps)]
     return draws
 
 
 class _ArrayDistances:
-    """Distances from the array frontier: each layer's sorted keys and packing.
+    """Distances from the array frontier's layers, merged into one table.
 
+    Every layer's keys are repacked once in the layer packing with the
+    largest base, which represents every row of every layer: coordinates
+    lie within each layer's offset and ids below its interned count, and
+    both only grow with the base. The merged keys are sorted, with each
+    key's radius beside it in the smallest dtype that holds the largest.
     Walks step on rows (interned ids, or coordinates in a dtype wide
-    enough for the walk); an endpoint is looked up in the layers whose
-    packing can represent it, so an endpoint no packing represents is
-    censored and never aliases a ball key.
+    enough for the walk); an endpoint is packed and searched once, and
+    one the packing cannot represent lies in no layer: it is censored
+    and never aliases a ball key.
     """
 
     def __init__(self, rows, layers: list):
-        self.rows, self.layers = rows, layers
+        self.rows = rows
+        self.packing = packing = max((p for _, p in layers), key=lambda p: p.base)
+        keys = [keys if (p.base, p.offset) == (packing.base, packing.offset)
+                else packing.pack(p.unpack(keys)) for keys, p in layers]
+        radii = np.repeat(np.arange(len(layers), dtype=np.min_scalar_type(len(layers) - 1)),
+                          list(map(len, keys)))
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")  # each layer's keys are one sorted run
+        self.keys, self.radii = keys[order], radii[order]
 
     def walk(self, moves: list[NielsenMove], draws: np.ndarray) -> list[int | None]:
         """Distances of the walks that take moves[draws[t, s]] at step s."""
@@ -227,12 +252,12 @@ class _ArrayDistances:
         return self._distances(ends)
 
     def _distances(self, ends: np.ndarray) -> list[int | None]:
+        fit = np.flatnonzero(self.packing.fits(ends).reshape(len(ends), -1).all(axis=1))
+        keys = self.packing.pack(ends[fit])
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        hit = self.keys[pos] == keys
         dist = np.full(len(ends), -1)
-        for r, (keys, packing) in enumerate(self.layers):
-            fit = packing.fits(ends).reshape(len(ends), -1).all(axis=1)
-            at = np.flatnonzero(fit & (dist < 0))
-            hit = _member(packing.pack(ends[at]), keys)
-            dist[at[hit]] = r
+        dist[fit[hit]] = self.radii[pos[hit]]
         return [None if d < 0 else d for d in dist.tolist()]
 
 
@@ -271,7 +296,8 @@ def rw_speed(
 
     distances: list[int | None] = []
     for lo in range(0, trials, _SEED_BLOCK):
-        taken = _move_draws(seed, range(lo, min(trials, lo + _SEED_BLOCK)), steps, len(moves))
+        keys = _trial_seeds(seed, range(lo, min(trials, lo + _SEED_BLOCK)))
+        taken = _move_draws(keys, steps, len(moves))
         for at in range(0, len(taken), _TRIAL_BLOCK):
             distances += lookup.walk(moves, taken[at : at + _TRIAL_BLOCK])
     return WalkStats(

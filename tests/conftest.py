@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from functools import cache, lru_cache
@@ -11,7 +12,7 @@ from prplab import cubes, prp
 from prplab.backends import TreeBackend
 from prplab.certificates import CertificateError
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import BallTable, NielsenMove, PrpError, apply_move, bfs_layers
+from prplab.prp import BallTable, NielsenMove, PrpError, _member, apply_move, bfs_layers
 from prplab.schreier import Label, SchreierError, SpanningWalk, walk_elements
 from prplab.words import TreeWord, identity, reduce_letters, word
 
@@ -172,6 +173,28 @@ def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:
             table.rows.extend((rr, count) for rr in range(r + 1, radius + 1))
     table.truncated = table.complete_radius < radius
     return table
+
+
+def trial_seed(master: int, index: int) -> int:
+    """The key of trial `index` under master seed `master`: the first 8
+    bytes, big-endian, of sha256 of "master:index" in ASCII. The oracle
+    of randomwalk._trial_seeds, which continues one hash of the prefix."""
+    digest = hashlib.sha256(f"{master}:{index}".encode("ascii")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def layer_distances(layers: list, ends: np.ndarray) -> list[int | None]:
+    """The distance of each endpoint row, looked up layer by layer in the
+    (sorted keys, packing) pairs of prp._frontier, each layer only where
+    its own packing represents the row: the oracle of the one merged
+    table of randomwalk._ArrayDistances."""
+    dist = np.full(len(ends), -1)
+    for r, (keys, packing) in enumerate(layers):
+        fit = packing.fits(ends).reshape(len(ends), -1).all(axis=1)
+        at = np.flatnonzero(fit & (dist < 0))
+        hit = _member(packing.pack(ends[at]), keys)
+        dist[at[hit]] = r
+    return [None if d < 0 else d for d in dist.tolist()]
 
 
 def scatter_prints(perms: np.ndarray) -> np.ndarray:

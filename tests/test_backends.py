@@ -1,8 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mod_elements, spans_scalar
@@ -168,6 +169,51 @@ class TestModVectorGeneration:
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(BackendError):
             ModVectorBackend(4, 2)
+
+    def test_composite_near_1e20_answered_at_once(self):
+        # Trial division would try about 10^10 divisors of this square.
+        t0 = time.perf_counter()
+        with pytest.raises(BackendError, match="must be prime"):
+            ModVectorBackend(10_000_000_019**2, 1)
+        assert ModVectorBackend(10**20 + 39, 1).p == 10**20 + 39  # the next prime above 10^20
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("n", [
+        3_215_031_751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        3_825_123_056_546_413_051,  # to every prime base up to 23
+        318_665_857_834_031_151_167_461,  # to every prime base up to 31
+    ])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(BackendError, match="must be prime"):
+            ModVectorBackend(n, 1)
+
+    def test_modulus_beyond_the_exact_test_refused(self):
+        # The limit is a strong pseudoprime to all 13 bases.
+        for p in (3_317_044_064_679_887_385_961_981, 2**89 - 1):
+            with pytest.raises(BackendError, match="must be below"):
+                ModVectorBackend(p, 1)
+
+
+def trial_division_prime(n: int) -> bool:
+    """Whether n is prime, by every divisor up to its square root: the
+    oracle of backends._is_prime."""
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-5, 10**6))
+@example(1)
+@example(2)
+@example(41)
+@example(43)
+@example(43 * 43)
+@example(999_983)  # the largest prime below 10^6
+def test_modulus_primality_matches_trial_division(p):
+    if trial_division_prime(p):
+        assert ModVectorBackend(p, 1).p == p
+    else:
+        with pytest.raises(BackendError, match="must be prime"):
+            ModVectorBackend(p, 1)
 
 
 MOD_BACKENDS = {(p, d): ModVectorBackend(p, d) for p in (2, 3, 5, 101, 10_000_000_019) for d in (1, 2, 3)}

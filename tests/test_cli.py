@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import functools
 import io
+import os
 import re
 import subprocess
 import sys
@@ -526,7 +527,8 @@ def test_cli_import_leaves_grp_parser_out():
     # imported it already.
     src = str(Path(cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import prplab.cli; "
-            "sys.exit('prplab.grpfile' in sys.modules or prplab.cli.build_parser.cache_info().currsize)")
+            "sys.exit('prplab.grpfile' in sys.modules or prplab.cli.build_parser.cache_info().currsize"
+            " or prplab.cli._command_parser.cache_info().currsize)")
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
@@ -550,6 +552,37 @@ def test_ad_order_command(capsys):
     code, out, _ = run_cli(capsys, "ad-order", "--omega", "dcb", "--n", "4", "--k", "0")
     assert code == 0
     assert "holds=1" in out
+
+
+def prplab_process(*argv: str, **kwargs) -> subprocess.Popen:
+    """`python -m prplab argv` in a fresh interpreter, on this checkout's source."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "prplab", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("m,code,out,err", [
+    ("3", 1, "", "error: '' is not a level-3 vertex\n"),  # not the default 111
+    ("0", 0, "start=\nvisits=1\n", ""),  # the root
+])
+def test_empty_start_vertex_is_not_the_default(m, code, out, err):
+    pipe = subprocess.PIPE
+    with prplab_process("walk", "--m", m, "--start-vertex", "", stdout=pipe, stderr=pipe, text=True) as proc:
+        got = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert out in got[0] and (got[0] == "") == (out == "")
+    assert got[1] == err
+
+
+def test_closed_stdout_exits_quietly_with_141():
+    # `prplab walk --m 10 | head -1`: the walk prints 540 kB, more than the
+    # pipe holds, so it is still writing when the reader goes away.
+    pipe = subprocess.PIPE
+    with prplab_process("walk", "--m", "10", stdout=pipe, stderr=pipe) as proc:
+        assert proc.stdout.readline() == f"# prplab={cli.__version__}\n".encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""  # no error line, and nothing flushed into the pipe at exit
 
 
 def test_usage_error_exit_code(capsys):
@@ -576,12 +609,17 @@ def test_byte_identical_reruns(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def clear_parsers():
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
 @pytest.fixture
 def cold_parser():
-    """An empty parser memo before and after the test."""
-    cli.build_parser.cache_clear()
+    """Empty parser memos before and after the test."""
+    clear_parsers()
     yield
-    cli.build_parser.cache_clear()
+    clear_parsers()
 
 
 def run_any(capsys, argv):
@@ -595,19 +633,23 @@ def run_any(capsys, argv):
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch, cold_parser):
-    # main wires the arguments of the command its first word names, and
-    # builds that parser on the command's first call only.
-    builds, wired = [], []
+    # main wires the arguments of the command its first word names, in that
+    # command's own parser, built on the command's first call only. The
+    # parser of all commands is built only to report arguments a command
+    # does not take, and once.
+    built, wired = [], []
 
     class Counted(cli._Parser):  # sub-parsers take their parent's class
         def __init__(self, *args, **kwargs):
-            if kwargs.get("prog") == "prplab":  # the top parser, not a subcommand's
-                builds.append(1)
+            built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
         def add_argument(self, *args, **kwargs):
             wired.append(self.prog)
             return super().add_argument(*args, **kwargs)
+
+    def commands():  # the top parser and the commands' own, not their sub-commands
+        return [prog for prog in built if prog.count(" ") < 2]
 
     monkeypatch.setattr(cli, "_Parser", Counted)
     assert run_any(capsys, ["cert", "build", "--m", "1"])[0] == 0
@@ -619,8 +661,12 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, cold_parser):
     assert code == 0 and "order=4" in out
     assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1
     assert run_any(capsys, ["cert", "build", "--m", "1"])[0] == 0
-    assert len(builds) == 3
+    assert commands() == ["prplab cert", "prplab element", "prplab prp"]
     assert "prplab prp ball" in wired
+    for _ in range(2):
+        assert run_any(capsys, ["prp", "ball", "--radius", "1", "--seed", "5"])[0] == 1
+    assert commands().count("prplab") == 1
+    assert commands()[:4] == ["prplab cert", "prplab element", "prplab prp", "prplab"]
 
 
 def nested_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -633,9 +679,11 @@ def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, cold_
     # The parser wired for one command answers every command line, help and
     # usage errors included, byte for byte as the parser of all commands.
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    full = cli.build_parser(None)
+    full = cli.build_parser()
     lines = [["cert", "verify", "a", "b"], ["cert"], ["frobnicate"], [], ["prp", "ball", "--radius", "x"],
-             ["--help"], ["--version"]]
+             ["--help"], ["--version"], ["cert", "verify", "--version"], ["walk", "--m"], ["cert", "--", "x"],
+             ["prp", "ball", "--radius", "1", "--seed", "5"], ["rw-speed", "--trials", "2", "x", "--steps", "1"],
+             ["element", "-h", "--bogus"], ["--version", "walk"], ["walk", "--m", "1", "--m", "2", "--start-vertex", "0"]]
     for name, parser in nested_commands(full).items():
         lines += [[name, "--help"]] + [[name, sub, "--help"] for sub in nested_commands(parser)]
     assert list(nested_commands(full)) == list(cli.COMMANDS)
@@ -643,7 +691,7 @@ def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, cold_
     lines += [argv for argv, _ in command_lines(tmp_path)]
     chosen = [run_any(capsys, argv) for argv in lines]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda command=None: full)
+        patch.setattr(cli, "_parse", full.parse_args)
         assert [run_any(capsys, argv) for argv in lines] == chosen
     assert chosen[0][:2] == (1, "") and chosen[0][2].startswith("usage: prplab [-h] [--version]\n")
 
@@ -654,9 +702,9 @@ def test_warm_parser_matches_cold_parser(capsys, monkeypatch, tmp_path, cold_par
     lines += [["--version"], ["--help"], ["prp", "ball", "--help"]]
     cold = []
     for argv in lines:
-        cli.build_parser.cache_clear()
+        clear_parsers()
         cold.append(run_any(capsys, argv))
-    cli.build_parser.cache_clear()  # one parser, first used for a usage error, runs every line
+    clear_parsers()  # each parser, first used for a usage error, runs every later line
     assert run_any(capsys, ["prp", "ball", "--radius", "x"])[0] == 1
     warm = [run_any(capsys, argv) for argv in lines]
     assert warm == cold

@@ -129,7 +129,8 @@ def test_every_package_function_is_reached_by_a_command(tmp_path):
     lines = command_lines(tmp_path)  # before tracing: it computes a witness
     words._is_identity.cache_clear()  # memos warmed by earlier tests hide calls
     words.portraits.cache_clear()
-    cli.build_parser.cache_clear()  # the parser is built on the first main call only
+    cli.build_parser.cache_clear()  # the parsers are built on their first main call only
+    cli._command_parser.cache_clear()
     entered = set()
 
     def tracer(frame, event, arg):

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_generic
+from conftest import ball_generic, trial_seed
 from prplab import prp
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.prp import apply_move, ball, bfs_layers, moves_for, tuple_key
-from prplab.randomwalk import _distance_map, _trial_seed, rw_speed
+from prplab.randomwalk import _distance_map, rw_speed
 from prplab.words import word
 
 # Periodic, non-torsion periodic, and eventually constant.
@@ -41,7 +41,7 @@ def oracle_walk(backend, start, steps, trials, radius, seed, budget):
     moves = moves_for(len(start))
     out = []
     for index in range(trials):
-        rng = random.Random(_trial_seed(seed, index))
+        rng = random.Random(trial_seed(seed, index))
         entries = start
         for _ in range(steps):
             entries = apply_move(backend, entries, moves[rng.randrange(len(moves))])
@@ -201,7 +201,7 @@ def test_walk_ids_beyond_the_packing_are_censored(frontier_only):
     stats = assert_same_walk(backend, start, 2, 200, 0, 3, 10**6)
     assert 0 < stats.exact_count < 200
     lookup = _distance_map(backend, start, 0, 10**6)[0]
-    keys, packing = lookup.layers[0]
+    keys, packing = lookup.keys, lookup.packing
     moves = moves_for(16)
     lookup.walk(moves, np.random.default_rng(0).integers(0, len(moves), size=(300, 3)))
     assert len(lookup.rows._elements) > packing.base == 11

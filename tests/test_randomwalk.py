@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prplab import randomwalk
+from conftest import layer_distances, trial_seed
+from prplab import prp, randomwalk
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
-from prplab.omega import CLASSICAL_OMEGA
-from prplab.randomwalk import _distance_map, _move_draws, rw_speed
+from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
+from prplab.prp import moves_for
+from prplab.randomwalk import _distance_map, _move_draws, _trial_seeds, rw_speed
 from prplab.words import word
 
 # A 1-word key (below 2^32), the 2-word boundary, and the widest
-# _trial_seed value, whose high word plus 1 wraps in uint32.
+# trial_seed value, whose high word plus 1 wraps in uint32.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
@@ -112,10 +114,8 @@ def oracle_draws(keys: list[int], steps: int, m: int) -> list[list[int]]:
 
 
 def block_draws(keys: list[int], steps: int, m: int):
-    """_move_draws over the given keys, fed through a patched _trial_seed."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(randomwalk, "_trial_seed", lambda master, index: keys[index])
-        return _move_draws(0, range(len(keys)), steps, m)
+    """_move_draws over the given keys, as rw_speed passes a block's keys."""
+    return _move_draws(np.array(keys, dtype=np.uint64), steps, m)
 
 
 @settings(deadline=None, max_examples=40)
@@ -137,7 +137,7 @@ def test_block_draws_match_random(m, steps, keys):
 def test_block_outputs_are_getrandbits_32():
     # All 32 bits of every output the block computes, where the move
     # counts above read only the top 7.
-    keys = EDGE_SEEDS + [randomwalk._trial_seed(5, i) for i in range(20)]
+    keys = EDGE_SEEDS + [trial_seed(5, i) for i in range(20)]
     n = randomwalk._MT_WORDS
     words = randomwalk._mt_getrandbits(np.array(keys, dtype=np.uint64), n, 32)
     for key, column in zip(keys, words.T.tolist()):
@@ -148,7 +148,7 @@ def test_block_outputs_are_getrandbits_32():
 def test_uncovered_trials_draw_from_random():
     # m = 8 accepts half of the 227 draws the block computes; 110 steps
     # leave 9 of these 40 trials uncovered, and only those seed random.Random.
-    keys = [randomwalk._trial_seed(0, i) for i in range(40)]
+    keys = [trial_seed(0, i) for i in range(40)]
     seeded = []
 
     class Counted(random.Random):
@@ -161,6 +161,73 @@ def test_uncovered_trials_draw_from_random():
         draws = block_draws(keys, 110, 8)
     assert draws.tolist() == oracle_draws(keys, 110, 8)
     assert len(seeded) == 9
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    master=st.integers() | st.sampled_from([0, -1, 2**64, -(2**64) - 1, 10**30]),
+    lo=st.integers(0, 10**12),
+    size=st.integers(0, 40),
+)
+@example(master=0, lo=0, size=0)  # an empty block
+@example(master=-7, lo=1000, size=30)  # across one digest chunk
+@example(master=2**64, lo=1023, size=1026)  # across two chunk boundaries at the real chunk size
+def test_trial_seeds_match_the_per_trial_oracle(master, lo, size):
+    block = range(lo, lo + size)
+    want = [trial_seed(master, i) for i in block]
+    assert _trial_seeds(master, block).tolist() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomwalk, "_DIGEST_CHUNK", 7)
+        keys = _trial_seeds(master, block)
+    assert keys.dtype == np.uint64 and keys.tolist() == want
+
+
+Z1, Z2, Z5 = FreeAbelianBackend(1), FreeAbelianBackend(2), ModVectorBackend(5, 2)
+DB = OmegaSequence("", "db")
+MAPS = {
+    "tree": (TreeBackend(CLASSICAL_OMEGA), tuple(word(CLASSICAL_OMEGA, x) for x in ("a", "b", "c", "d", ""))),
+    "tree-db": (TreeBackend(DB), tuple(word(DB, x) for x in ("a", "b", "d", ""))),
+    "z1": (Z1, (Z1.element((1,)), Z1.element((1,)))),
+    "z1-wide": (Z1, (Z1.element((2**40,)), Z1.element((1,)))),
+    "z2": (Z2, (Z2.element((1, 0)), Z2.element((0, 1)), Z2.identity)),
+    "z5sq": (Z5, (Z5.element((1, 0)), Z5.element((0, 1)), Z5.identity)),
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    name=st.sampled_from(sorted(MAPS)),
+    radius=st.integers(0, 4),
+    budget=st.sampled_from([1, 7, 40, 300, 10**6]),
+    steps=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([1, 2**62, 2**64, -(2**70)]),
+)
+@example(name="z1", radius=3, budget=10**6, steps=25, seed=0, shift=2**64)  # coordinates past int64
+@example(name="tree", radius=2, budget=40, steps=6, seed=1, shift=1)  # truncated at radius 1
+def test_one_table_matches_the_layers(name, radius, budget, steps, seed, shift):
+    # Walk endpoints, and the same rows moved by `shift` in one entry or
+    # to ids at and beyond the packing, get the distances the per-layer
+    # lookup gives.
+    backend, start = MAPS[name]
+    rows = prp._rows_for(backend, start)
+    layers = list(prp._frontier(rows, radius, budget))
+    lookup = randomwalk._ArrayDistances(rows, layers)
+    assert lookup.packing.base == max(p.base for _, p in layers)
+    ends = []
+    moves = moves_for(len(start))
+    draws = np.random.default_rng(seed).integers(0, len(moves), size=(60, steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lookup, "_distances", lambda rows: ends.append(rows) or [])
+        lookup.walk(moves, draws)
+    [ends] = ends
+    ball = np.concatenate([p.unpack(keys) for keys, p in layers]).astype(ends.dtype)
+    ends = np.concatenate([ends, ball])
+    moved = ends.astype(object)
+    moved[:, -1, -1] += lookup.packing.base if isinstance(rows, prp._IdRows) else shift
+    for rows_ in (ends, moved):
+        assert lookup._distances(rows_) == layer_distances(layers, rows_)
+    assert lookup._distances(ball) == [r for r, (keys, _) in enumerate(layers) for _ in keys]
 
 
 def test_blocks_do_not_change_the_walks(monkeypatch):
