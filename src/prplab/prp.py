@@ -384,8 +384,7 @@ def _rows_for(backend: GroupBackend, start: tuple):
     if isinstance(backend, (FreeAbelianBackend, ModVectorBackend)):
         for e in start:
             backend.check(e)
-        p = backend.p if isinstance(backend, ModVectorBackend) else 0
-        return _CoordinateRows(p, backend.d, start)
+        return _CoordinateRows(backend.p, backend.d, start)
     return _IdRows(backend, start)
 
 

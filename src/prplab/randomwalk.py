@@ -287,6 +287,8 @@ def rw_speed(
     """Censored distance statistics of seeded uniform-move walks."""
     if steps < 0 or trials < 0 or radius < 0:
         raise ValueError("steps, trials and radius must be nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     moves = moves_for(len(start))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from functools import cache, lru_cache
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -159,6 +160,27 @@ def spans_scalar(rows: list[tuple[int, ...]], p: int, d: int) -> bool:
                 rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank == d
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix, by Laplace expansion along
+    its first row; exact, and quick enough for the d <= 5 of the tests."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * det_int([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def generates_by_minors(rows: list[tuple[int, ...]], d: int) -> bool:
+    """Whether integer vectors generate Z^d: iff the gcd of all d x d minors
+    of the stacked matrix is 1, the last determinantal divisor of its
+    Smith form. The oracle of FreeAbelianBackend.is_generating."""
+    g = 0
+    for sub in itertools.combinations(rows, d):
+        g = gcd(g, det_int([tuple(r) for r in sub]))
+        if g == 1:
+            return True
+    return False
 
 
 def ball_generic(backend, start: tuple, radius: int, budget: int) -> BallTable:

@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import ball_generic, mod_elements, spans_scalar
 from prplab import prp
-from prplab.backends import (
-    BackendError,
-    FreeAbelianBackend,
-    FreeAbelianElement,
-    ModVectorBackend,
-    ModVectorElement,
-)
+from prplab.backends import BackendError, FreeAbelianBackend, ModVectorBackend, VectorElement
 from prplab.prp import apply_move, ball, components_finite, moves_for, tuple_key
 from prplab.randomwalk import rw_speed
 
@@ -113,6 +107,14 @@ def test_mod_vector_ball_matches_generic(case, radius, budget):
     assert_same_ball(backend, start, radius, budget)
 
 
+def test_z4_ball_matches_generic():
+    # The table of `prp ball --group zd --d 4 --radius 3`, pinned in CI.
+    backend = FreeAbelianBackend(4)
+    basis = tuple(backend.element([int(i == j) for j in range(4)]) for i in range(4))
+    table = assert_same_ball(backend, basis, 3, 10**6)
+    assert table.rows == [(0, 1), (1, 25), (2, 433), (3, 6149)]
+
+
 def key_dtypes(backend, start, radius):
     return [packing.dtype for _, packing in prp._frontier(prp._rows_for(backend, start), radius, 10**6)]
 
@@ -172,7 +174,7 @@ def test_saturating_mod_vector_ball():
 
 def test_mod_vector_elements_are_reduced_on_construction():
     z3 = ModVectorBackend(3, 1)
-    four = ModVectorElement(3, (4,))
+    four = VectorElement(3, (4,))
     assert z3.canonical_key(four) == z3.canonical_key(z3.element((1,)))
     assert z3.equals(four, z3.element((1,)))
     # (4) is the vertex (1): the same ball as from ((1), (1)), on both paths
@@ -183,11 +185,11 @@ def test_mod_vector_elements_are_reduced_on_construction():
 
 
 @pytest.mark.parametrize("backend, entry", [
-    (ModVectorBackend(5, 1), ModVectorElement(3, (1,))),
-    (ModVectorBackend(5, 1), ModVectorElement(5, (1, 0))),
-    (FreeAbelianBackend(1), FreeAbelianElement((1, 0))),
-    (ModVectorBackend(5, 1), FreeAbelianElement((1,))),
-    (FreeAbelianBackend(1), ModVectorElement(5, (1,))),
+    (ModVectorBackend(5, 1), VectorElement(3, (1,))),
+    (ModVectorBackend(5, 1), VectorElement(5, (1, 0))),
+    (FreeAbelianBackend(1), VectorElement(0, (1, 0))),
+    (ModVectorBackend(5, 1), VectorElement(0, (1,))),
+    (FreeAbelianBackend(1), VectorElement(5, (1,))),
 ], ids=["modulus", "mod-dimension", "free-dimension", "free-in-mod", "mod-in-free"])
 def test_foreign_abelian_entries_are_refused(backend, entry):
     # Refused before any move, at radius 0 too, with the backend's error.

@@ -6,17 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mod_elements, spans_scalar
-from prplab.backends import (
-    BackendError,
-    FreeAbelianBackend,
-    FreeAbelianElement,
-    ModVectorBackend,
-    ModVectorElement,
-    TreeBackend,
-    is_generating_abelian,
-    is_generating_modvector,
-)
+from conftest import generates_by_minors, mod_elements, spans_scalar
+from prplab.backends import BackendError, FreeAbelianBackend, ModVectorBackend, TreeBackend, VectorElement
 from prplab.omega import CLASSICAL_OMEGA
 from prplab.witnesses import classical_t
 from prplab.words import portraits, word
@@ -82,55 +73,99 @@ def test_tree_backends_share_the_portrait_memo():
 
 
 class TestAbelianGeneration:
+    @staticmethod
+    def generates(d, rows):
+        b = FreeAbelianBackend(d)
+        return b.is_generating([b.element(r) for r in rows])
+
     def test_standard_basis(self):
-        b = FreeAbelianBackend(2)
-        assert is_generating_abelian([b.element((1, 0)), b.element((0, 1))])
+        assert self.generates(2, [(1, 0), (0, 1)])
 
     def test_index_two_sublattice(self):
-        b = FreeAbelianBackend(2)
-        assert not is_generating_abelian([b.element((2, 0)), b.element((0, 1))])
+        assert not self.generates(2, [(2, 0), (0, 1)])
 
     def test_determinant_minus_one(self):
-        b = FreeAbelianBackend(2)
-        assert is_generating_abelian([b.element((3, 5)), b.element((2, 3))])
+        assert self.generates(2, [(3, 5), (2, 3)])
 
     def test_empty_tuple(self):
-        assert not is_generating_abelian([])
+        assert not self.generates(1, [])
 
     def test_coprime_pairs_dimension_one(self):
-        b = FreeAbelianBackend(1)
-        assert is_generating_abelian([b.element((2,)), b.element((3,))])
-        assert not is_generating_abelian([b.element((2,)), b.element((4,))])
+        assert self.generates(1, [(2,), (3,)])
+        assert not self.generates(1, [(2,), (4,)])
 
     def test_dimension_three(self):
-        b = FreeAbelianBackend(3)
-        basis = [b.element(r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        assert is_generating_abelian(basis)
-        assert not is_generating_abelian(basis[:2])
+        basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert self.generates(3, basis)
+        assert not self.generates(3, basis[:2])
         # redundant 4-tuple still generates
-        assert is_generating_abelian(basis + [b.element((5, 7, 9))])
+        assert self.generates(3, basis + [(5, 7, 9)])
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(BackendError, match="unsupported dimension"):
-            is_generating_abelian([FreeAbelianElement((1, 0, 0, 0))])
+    def test_dimension_four(self):
+        # Every dimension is decided; the minors' expansion stopped at d = 3.
+        basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        assert self.generates(4, basis)
+        assert not self.generates(4, basis[:3])
+        assert not self.generates(4, basis[:3] + [(0, 0, 0, 2)])
+        assert self.generates(4, basis[:3] + [(0, 0, 0, 2), (7, 1, 1, 3)])
 
     def test_rank_deficient_wide_tuple(self):
-        b = FreeAbelianBackend(2)
-        assert not is_generating_abelian([b.element((1, 1)), b.element((2, 2)), b.element((3, 3))])
+        assert not self.generates(2, [(1, 1), (2, 2), (3, 3)])
+
+    def test_foreign_entry_refused(self):
+        with pytest.raises(BackendError, match="dimension mismatch"):
+            FreeAbelianBackend(2).is_generating([VectorElement(0, (1, 0)), VectorElement(0, (1, 0, 0))])
+
+
+@st.composite
+def integer_tuples(draw):
+    """(d, rows): up to d + 2 integer vectors, d = 1..5. Half the draws are a
+    standard basis, one row possibly doubled, with extra rows and then
+    elementary row operations whose factors reach 10^20 applied."""
+    d = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        return d, [tuple(draw(st.lists(entries, min_size=d, max_size=d)))
+                   for _ in range(draw(st.integers(0, d + 2)))]
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] *= draw(st.sampled_from([1, 2]))
+    rows += [draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if i != j:
+            k = draw(st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20)))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return d, [tuple(r) for r in draw(st.permutations(rows))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_tuples())
+@example((1, []))
+@example((3, []))
+@example((2, [(1, 1), (2, 2), (3, 3)]))  # rank-deficient
+@example((3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]))  # index 2
+@example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 2)]))  # index 2
+@example((2, [(10**20 + 1, 10**20), (10**20, 10**20 - 1)]))  # determinant -1
+@example((2, [(2 * 10**20, 1), (4 * 10**20 + 2, 3)]))  # determinant 2
+@example((5, [tuple(int(i == j) for j in range(5)) for i in range(5)]))
+def test_integer_elimination_matches_minors(case):
+    d, rows = case
+    backend = FreeAbelianBackend(d)
+    assert backend.is_generating([backend.element(r) for r in rows]) is generates_by_minors(rows, d)
 
 
 class TestModVectorGeneration:
     def test_standard_basis_z3(self):
         b = ModVectorBackend(3, 2)
-        assert is_generating_modvector([b.element((1, 0)), b.element((0, 1))])
+        assert b.is_generating([b.element((1, 0)), b.element((0, 1))])
 
     def test_proportional_vectors(self):
         b = ModVectorBackend(3, 2)
-        assert not is_generating_modvector([b.element((1, 1)), b.element((2, 2))])
+        assert not b.is_generating([b.element((1, 1)), b.element((2, 2))])
 
     def test_mixed_moduli_error(self):
         with pytest.raises(BackendError, match="mixed moduli"):
-            is_generating_modvector([ModVectorElement(3, (1, 0)), ModVectorElement(5, (0, 1))])
+            ModVectorBackend(3, 2).is_generating([VectorElement(3, (1, 0)), VectorElement(5, (0, 1))])
 
     def test_gl2_f3_enumeration(self):
         # brute-force count of ordered bases of (Z_3)^2: (9-1)(9-3) = 48
@@ -139,10 +174,10 @@ class TestModVectorGeneration:
         bases = [
             (u, v)
             for u, v in itertools.product(elements, repeat=2)
-            if is_generating_modvector([u, v])
+            if b.is_generating([u, v])
         ]
         assert len(bases) == 48
-        assert all(is_generating_modvector(list(t)) for t in bases)
+        assert all(b.is_generating(list(t)) for t in bases)
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
     def test_generating_tuple_cardinality(self, p, n):

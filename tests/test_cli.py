@@ -64,6 +64,14 @@ def test_element_sections(capsys):
     assert "left=identity" in out and "right=d" in out and "swapped=0" in out
 
 
+def test_element_sections_at_an_offset(capsys):
+    # (dcb)* has omega_2 = b, so b at offset 2 has the identity as its left section
+    assert "left=a\n" in run_cli(capsys, "element", "sections", "--word", "b")[1]
+    code, out, _ = run_cli(capsys, "element", "sections", "--word", "b", "--offset", "2")
+    assert code == 0
+    assert "left=identity\n" in out and "right=b\n" in out
+
+
 def test_witness_classical_valid(capsys):
     code, out, _ = run_cli(capsys, "witness", "classical", "--m", "3")
     assert code == 0
@@ -472,6 +480,18 @@ def test_prp_refuses_a_dependent_start_beyond_int64_products(capsys):
     assert (code, out, err) == (1, "", "error: start tuple does not generate the group\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["prp", "ball", "--start", "a;b;c;d", "--size", "2", "--radius", "1"],
+     "error: --size smaller than the start tuple\n"),
+    (["prp", "ball", "--group", "zd", "--d", "2", "--start", "2,0;0,1", "--radius", "1"],
+     "error: start tuple does not generate the group\n"),
+    (["rw-speed", "--size", "5", "--radius", "1", "--trials", "0"], "error: trials must be at least 1\n"),
+    (["cert", "build", "--omega", "b", "--m", "2"], "error: no-witness: use infinite-order path\n"),
+], ids=["size-below-start", "index-two-start", "zero-trials", "no-witness"])
+def test_refused_inputs_print_one_error_line(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
 def test_prp_ball_with_rate(capsys):
     code, out, _ = run_cli(
         capsys, "prp", "ball", "--group", "zd", "--d", "1", "--start", "1;1",
@@ -518,6 +538,12 @@ def test_parse_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "parse", "check", str(bad))
     assert code == 2
     assert "diagnostic=" in out and "line 1" in out
+
+
+def test_parse_check_missing_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "parse", "check", str(tmp_path / "missing.grp"))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_import_leaves_grp_parser_out():

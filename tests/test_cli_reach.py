@@ -21,14 +21,8 @@ from prplab.witnesses import classical_t
 SRC = Path(prplab.__file__).parent  # unresolved, to match the code objects' file names
 
 ALLOWED = {
-    **{f"backends.GroupBackend.{name}": "abstract; every backend overrides it"
-       for name in ("identity", "multiply", "invert", "equals", "canonical_key",
-                    "is_generating", "describe")},
     **{f"backends.{cls}.equals": "backend contract, which perfbench/worker.py traces; "
-       "the search compares canonical keys" for cls in
-       ("FreeAbelianBackend", "ModVectorBackend", "TreeBackend")},
-    "backends.FreeAbelianElement.__str__": "display dunder",
-    "backends.ModVectorElement.__str__": "display dunder",
+       "the search compares canonical keys" for cls in ("_Vectors", "TreeBackend")},
     "words.TreeWord.__repr__": "display dunder",
     "words.Portraits.__len__": "perfbench/worker.py reads the key memo's size through it",
     "words.TreeWord.equals": "perfbench/worker.py wraps it; the replay oracle compares with it",
