@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .backends import FreeAbelianBackend, GroupBackend, ModVectorBackend, TreeBackend
@@ -28,7 +27,7 @@ from .omega import CLASSICAL_OMEGA, OmegaSequence
 from .prp import ball, ball_to_dot, components_finite
 from .randomwalk import rw_speed
 from .schreier import schreier, spanning_walk, walk_elements
-from .witnesses import NoWitnessError, check_ad_order, relabel_for_d, verify_classical, verify_general
+from .witnesses import check_ad_order, relabel_for_d, verify_classical, verify_general
 from .words import MAX_LEVEL, word
 
 USAGE_ERROR = 1
@@ -47,25 +46,25 @@ class CliError(Exception):
     pass
 
 
-def _omega_from_args(args) -> OmegaSequence:
-    if getattr(args, "grp", None):
-        from .grpfile import parse as parse_grp  # only a --grp run compiles the parser
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
-        spec = parse_grp(Path(args.grp).read_text(encoding="utf-8"))
-        name = getattr(args, "group", None)
-        if not name:
-            raise CliError("--grp needs --group NAME to pick a declaration")
-        group = next((g for g in spec.groups if g.name == name), None)
-        if group is None:
-            raise CliError(f"group {name!r} not declared in {args.grp}")
-        if group.family_omega is None:
-            raise CliError(f"group {name!r} is an explicit recursion; this command needs a family group")
-        return spec.omega_named(group.family_omega)
-    prefix = getattr(args, "prefix", "") or ""
-    cycle = getattr(args, "omega", None)
-    if cycle:
-        return OmegaSequence(prefix, cycle)
-    return CLASSICAL_OMEGA
+
+def _omega_from_args(args) -> OmegaSequence:
+    if args.grp is None:
+        return OmegaSequence(args.prefix, CLASSICAL_OMEGA.cycle if args.omega is None else args.omega)
+    from .grpfile import parse as parse_grp  # only a --grp run compiles the parser
+
+    spec = parse_grp(_read(args.grp))
+    if args.group is None:
+        raise CliError("--grp needs --group NAME to pick a declaration")
+    group = next((g for g in spec.groups if g.name == args.group), None)
+    if group is None:
+        raise CliError(f"group {args.group!r} not declared in {args.grp}")
+    if group.family_omega is None:
+        raise CliError(f"group {args.group!r} is an explicit recursion; this command needs a family group")
+    return spec.omega_named(group.family_omega)
 
 
 def _header(args, group: str, extra: str = "") -> list[str]:
@@ -87,9 +86,16 @@ def _emit(lines) -> None:
         print(ln)
 
 
-def _tree_backend_entries(args, omega: OmegaSequence) -> tuple:
-    start = getattr(args, "start", None) or "a;b;c;d"
-    return tuple(word(omega, w.strip()) for w in start.split(";"))
+def _start(args, parse, default: tuple) -> tuple:
+    """The start tuple: each ';'-separated entry of --start read by parse,
+    or default when --start is not given."""
+    if args.start is None:
+        return default
+    return tuple(parse(entry) for entry in args.start.split(";"))
+
+
+def _tree_start(args, omega: OmegaSequence) -> tuple:
+    return _start(args, lambda w: word(omega, w.strip()), tuple(word(omega, x) for x in "abcd"))
 
 
 def _finite_backend(args) -> GroupBackend:
@@ -104,28 +110,18 @@ def _finite_backend(args) -> GroupBackend:
 
 
 def _backend_and_start(args) -> tuple[GroupBackend, tuple, str]:
-    name = getattr(args, "group", None) or "grigorchuk"
-    if name == "grigorchuk" or getattr(args, "omega", None) or getattr(args, "grp", None):
+    if args.group in (None, "grigorchuk") or args.omega is not None or args.grp is not None:
         omega = _omega_from_args(args)
         backend: GroupBackend = TreeBackend(omega)
-        entries = _tree_backend_entries(args, omega)
+        entries = _tree_start(args, omega)
     else:
         backend = _finite_backend(args)
-        if getattr(args, "start", None):
-            entries = tuple(
-                backend.element([int(c) for c in chunk.split(",")])
-                for chunk in args.start.split(";")
-            )
-        else:
-            d = backend.d
-            entries = tuple(
-                backend.element([1 if i == j else 0 for j in range(d)]) for i in range(d)
-            )
-    size = getattr(args, "size", None)
-    if size is not None:
-        if size < len(entries):
+        basis = tuple(backend.element([int(i == j) for j in range(backend.d)]) for i in range(backend.d))
+        entries = _start(args, lambda text: backend.element([int(c) for c in text.split(",")]), basis)
+    if args.size is not None:
+        if args.size < len(entries):
             raise CliError("--size smaller than the start tuple")
-        entries = entries + (backend.identity,) * (size - len(entries))
+        entries = entries + (backend.identity,) * (args.size - len(entries))
     if backend.is_generating(entries) is False:
         raise CliError("start tuple does not generate the group")
     return backend, entries, backend.describe()
@@ -170,7 +166,7 @@ def _cmd_witness(args) -> int:
     # sweep
     if args.n_max > MAX_LEVEL:
         raise CliError(f"--n-max {args.n_max} above configured maximum {MAX_LEVEL}")
-    omegas = [OmegaSequence(args.prefix or "", c) for c in args.cycles.split(",") if c]
+    omegas = [OmegaSequence(args.prefix, c) for c in args.cycles.split(",")]
     _emit(_header(args, "sweep"))
     print("omega,n,status,letters_abcd,letters_abc,nontrivial,rist_ok,bound_ok")
     worst = 0
@@ -202,7 +198,7 @@ def _print_witness(report) -> None:
 
 def _cmd_schreier(args) -> int:
     omega = _omega_from_args(args)
-    gens = _tree_backend_entries(args, omega)
+    gens = _tree_start(args, omega)
     graph = schreier(gens, args.m)
     _emit(_header(args, f"family({omega.describe()})", extra=f"max-level={MAX_LEVEL}"))
     if args.dot:
@@ -221,7 +217,7 @@ def _cmd_schreier(args) -> int:
 
 def _cmd_walk(args) -> int:
     omega = _omega_from_args(args)
-    gens = _tree_backend_entries(args, omega)
+    gens = _tree_start(args, omega)
     graph = schreier(gens, args.m)
     start = "1" * args.m if args.start_vertex is None else args.start_vertex
     walk = spanning_walk(graph, start)
@@ -240,21 +236,15 @@ def _cmd_cert(args) -> int:
     if args.cert_cmd == "build":
         omega = _omega_from_args(args)
         base = tuple(args.base.split(";"))
-        try:
-            cert = build_certificate(omega, args.m, base=base)
-        except NoWitnessError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        text = serialize_certificate(cert)
-        if args.out:
+        text = serialize_certificate(build_certificate(omega, args.m, base=base))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        else:
-            sys.stdout.write(text)
         return 0
     # verify
-    text = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
-    cert = parse_certificate(text)
+    cert = parse_certificate(sys.stdin.read() if args.file is None else _read(args.file))
     result = verify_certificate(cert)
     _emit(_header(args, f"family({cert.omega.describe()})"))
     print(f"status={'VALID' if result.ok else 'INVALID'}")
@@ -277,7 +267,7 @@ def _cmd_prp_ball(args) -> int:
         return 0
     table = ball(backend, entries, args.radius, budget=args.budget)
     lines = header + table.csv_rows() + [f"# truncated={int(table.truncated)}"]
-    if args.rate:
+    if args.rate is not None:
         rate = growth_report(table, [int(r) for r in args.rate.split(",")], beta=args.beta)
         lines.append(f"# rate={rate:.6f} subsequence={args.rate} beta={args.beta}")
     _emit(lines)
@@ -313,11 +303,7 @@ def _cmd_rw_speed(args) -> int:
 def _cmd_parse_check(args) -> int:
     from .grpfile import GrpParseError, parse as parse_grp
 
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    text = _read(args.file)
     try:
         spec = parse_grp(text)
     except GrpParseError as exc:

@@ -611,8 +611,9 @@ def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: 
     moves = moves_for(len(start))
     for layer in layers[:radius]:
         for a in layer:
+            na = name_of(a)
             for move in moves:
-                na, nb = name_of(a), name_of(apply_move(backend, a, move))
+                nb = name_of(apply_move(backend, a, move))
                 pair = (min(na, nb), max(na, nb))
                 if pair in seen_pairs:
                     continue

@@ -492,6 +492,49 @@ def test_refused_inputs_print_one_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
+_NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
+_NO_INT = "error: invalid literal for int() with base 10: ''\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["element", "reduce", "--word", "ab", "--prefix", "b"], 0,
+     f'# prplab={cli.__version__}\n# group=family("b"("dcb")*) seed=0\nword=ab\n', ""),
+    (["element", "reduce", "--word", "ab", "--omega", ""], 1, "", "error: cycle must be nonempty\n"),
+    (["element", "reduce", "--word", "ab", "--grp", ""], 1, "", _NO_FILE),
+    (["prp", "ball", "--group", "", "--radius", "1"], 1, "", "error: unknown finite group alias ''\n"),
+    (["prp", "ball", "--start", "", "--radius", "1"], 0,
+     f'# prplab={cli.__version__}\n# group=tree group over ""("dcb")* seed=0\n'
+     "# budget=5000000 radius=1 tuple-size=1\nradius,ball_size\n0,1\n1,1\n# truncated=0\n", ""),
+    (["prp", "ball", "--group", "zd", "--d", "2", "--start", "", "--radius", "1"], 1, "", _NO_INT),
+    (["prp", "ball", "--group", "zd", "--start", "1;1", "--radius", "3", "--rate", ""], 1, "", _NO_INT),
+    (["cert", "build", "--m", "1", "--out", ""], 1, "", _NO_FILE),
+    (["cert", "verify", ""], 1, "", _NO_FILE),
+    (["witness", "sweep", "--cycles", "dcb,,db"], 1, "", "error: cycle must be nonempty\n"),
+], ids=["prefix-alone", "empty-omega", "empty-grp", "empty-group", "empty-tree-start",
+        "empty-vector-start", "empty-rate", "empty-out", "empty-verify-file", "empty-cycle"])
+def test_given_options_are_read_as_given(capsys, monkeypatch, tmp_path, argv, code, out, err):
+    # An empty value is never replaced by the default of an absent option.
+    # stdin holds a valid certificate, which only an absent cert verify FILE reads.
+    stdin = io.StringIO(serialize_certificate(build_certificate(CLASSICAL_OMEGA, 1)))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (code, out, err)
+    assert stdin.tell() == 0
+    assert list(tmp_path.iterdir()) == []  # --out "" writes no file
+
+
+@pytest.mark.parametrize("argv", [
+    ["element", "reduce", "--word", "abd"],
+    ["prp", "ball", "--radius", "1"],
+    ["walk", "--m", "2"],
+    ["rw-speed", "--size", "4", "--steps", "2", "--trials", "20", "--radius", "2"],
+])
+def test_prefix_alone_takes_the_default_cycle(capsys, argv):
+    alone = run_cli(capsys, *argv, "--prefix", "b")
+    assert alone == run_cli(capsys, *argv, "--prefix", "b", "--omega", "dcb")
+    assert alone[0] == 0 and '"b"("dcb")*' in alone[1]
+
+
 def test_prp_ball_with_rate(capsys):
     code, out, _ = run_cli(
         capsys, "prp", "ball", "--group", "zd", "--d", "1", "--start", "1;1",
