@@ -51,9 +51,21 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _refuse_unread(args, options, reader: str) -> None:
+    """An error naming the first of `options` that is given, since `reader`
+    would not read it."""
+    for option in options:
+        if getattr(args, option, None) is not None:
+            raise CliError(f"--{option} is not read by {reader}")
+
+
 def _omega_from_args(args) -> OmegaSequence:
     if args.grp is None:
-        return OmegaSequence(args.prefix, CLASSICAL_OMEGA.cycle if args.omega is None else args.omega)
+        if args.group not in (None, "grigorchuk"):
+            raise CliError(f"--group {args.group!r} is not read without --grp")
+        prefix = "" if args.prefix is None else args.prefix
+        return OmegaSequence(prefix, CLASSICAL_OMEGA.cycle if args.omega is None else args.omega)
+    _refuse_unread(args, ("omega", "prefix"), "--grp")
     from .grpfile import parse as parse_grp  # only a --grp run compiles the parser
 
     spec = parse_grp(_read(args.grp))
@@ -98,19 +110,26 @@ def _tree_start(args, omega: OmegaSequence) -> tuple:
     return _start(args, lambda w: word(omega, w.strip()), tuple(word(omega, x) for x in "abcd"))
 
 
+# Each finite group alias -> the options it reads.
+_FINITE_READS = {"zd": ("d",), "zpn": ("p", "n"), "z2k": ("k",)}
+
+
 def _finite_backend(args) -> GroupBackend:
     name = args.group
+    if name not in _FINITE_READS:
+        raise CliError(f"unknown finite group alias {name!r}")
+    unread = [o for o in ("omega", "prefix", "d", "p", "n", "k") if o not in _FINITE_READS[name]]
+    _refuse_unread(args, unread, f"--group {name}")
     if name == "zd":
-        return FreeAbelianBackend(args.d)
+        return FreeAbelianBackend(1 if args.d is None else args.d)
     if name == "zpn":
-        return ModVectorBackend(args.p, args.n)
-    if name == "z2k":
-        return ModVectorBackend(2, args.k)
-    raise CliError(f"unknown finite group alias {name!r}")
+        return ModVectorBackend(3 if args.p is None else args.p, 2 if args.n is None else args.n)
+    return ModVectorBackend(2, 3 if args.k is None else args.k)
 
 
 def _backend_and_start(args) -> tuple[GroupBackend, tuple, str]:
-    if args.group in (None, "grigorchuk") or args.omega is not None or args.grp is not None:
+    if args.group in (None, "grigorchuk") or args.grp is not None:
+        _refuse_unread(args, ("d", "p", "n", "k"), "a tree group")
         omega = _omega_from_args(args)
         backend: GroupBackend = TreeBackend(omega)
         entries = _tree_start(args, omega)
@@ -331,7 +350,7 @@ def _cmd_ad_order(args) -> int:
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", help="cycle letters of the defining sequence (default dcb)")
-    p.add_argument("--prefix", default="", help="prefix letters of the defining sequence")
+    p.add_argument("--prefix", help="prefix letters of the defining sequence")
     p.add_argument("--grp", help=".grp file with group declarations")
     p.add_argument("--group", help="group name (builtin alias or declaration in --grp)")
 
@@ -406,17 +425,17 @@ def _wire_prp(p: argparse.ArgumentParser) -> None:
     q.add_argument("--beta", type=float, default=2.0)
     q.add_argument("--dot", action="store_true")
     q.add_argument("--dot-max", dest="dot_max", type=int, default=2000)
-    q.add_argument("--d", type=int, default=1)
-    q.add_argument("--p", type=int, default=3)
-    q.add_argument("--n", type=int, default=2)
-    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--d", type=int)
+    q.add_argument("--p", type=int)
+    q.add_argument("--n", type=int)
+    q.add_argument("--k", type=int)
     _add_family_options(q)
     q.set_defaults(func=_cmd_prp_ball)
     q = pp_sub.add_parser("components")
     q.add_argument("--group", required=True, choices=["zpn", "z2k"])
-    q.add_argument("--p", type=int, default=3)
-    q.add_argument("--n", type=int, default=2)
-    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--p", type=int)
+    q.add_argument("--n", type=int)
+    q.add_argument("--k", type=int)
     q.add_argument("--size", type=int, help="tuple size (default: the dimension)")
     q.add_argument("--max-tuples", dest="max_tuples", type=int, default=10_000_000)
     q.set_defaults(func=_cmd_prp_components)
@@ -429,10 +448,10 @@ def _wire_rw_speed(q: argparse.ArgumentParser) -> None:
     q.add_argument("--budget", type=int, default=200_000)
     q.add_argument("--start", help="entries ';'-separated")
     q.add_argument("--size", type=int, help="pad the start tuple with identities to this size")
-    q.add_argument("--d", type=int, default=1)
-    q.add_argument("--p", type=int, default=3)
-    q.add_argument("--n", type=int, default=2)
-    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--d", type=int)
+    q.add_argument("--p", type=int)
+    q.add_argument("--n", type=int)
+    q.add_argument("--k", type=int)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--threads", type=int, default=1)
     _add_family_options(q)
@@ -469,7 +488,7 @@ COMMANDS = {
 
 @functools.cache  # built on a command's first main call, then reused: a parse leaves it unchanged
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, as the parser of all commands builds it."""
+    """The parser of one command, the only place its arguments are wired."""
     parser = _Parser(prog=f"prplab {command}")
     COMMANDS[command][1](parser)
     return parser
@@ -477,25 +496,27 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, for what no command's own parser
-    answers: top-level help and --version, an unknown command, and the
-    report of unrecognized arguments, all under the top-level usage."""
+    """The top-level parser: each command's name and help, and no command's
+    arguments. It answers what no command's own parser does: top-level
+    help and --version, a first word that is no command, and the report of
+    arguments a command does not take, all under the top-level usage."""
     top = _Parser(prog="prplab", description=__doc__)
     top.add_argument("--version", action="version", version=f"prplab {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, wire) in COMMANDS.items():
-        wire(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
     return top
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The arguments of argv, from the parser of the command its first word
-    names; the parser of all commands parses anything else, and reports
-    the arguments that command does not take."""
+    names; the top-level parser answers anything else, and reports the
+    arguments that command does not take."""
     if argv and argv[0] in COMMANDS:
         args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
     return build_parser().parse_args(argv)
 
 

@@ -6,10 +6,10 @@ multigraph. Balls and the random walks' distance maps run on one array
 frontier search (`_frontier`): a tuple is one packed key, over rows of
 coordinates for Z^d and Z_p^d and of interned element ids for every
 other backend. Keys are int64 while they fit and Python ints beyond, so
-tuples of any size or coordinate size stay on the one search. The
-per-object breadth-first loop (`bfs_layers`, deduplicating through the
-backends' exact canonical keys) serves DOT dumps and is the tests'
-oracle. Censuses over Z_p^d run on int64 index arrays.
+tuples of any size or coordinate size stay on the one search. DOT dumps
+(`ball_to_dot`) name each vertex, so they take one per-object
+breadth-first pass, deduplicating through the backends' exact canonical
+keys (`VisitedSet`). Censuses over Z_p^d run on int64 index arrays.
 """
 
 from __future__ import annotations
@@ -93,54 +93,19 @@ def tuple_key(backend: GroupBackend, entries: tuple) -> Hashable:
 
 
 class VisitedSet:
-    """Set of tuples, stored as their exact canonical keys."""
+    """Tuples, stored as their exact canonical keys and numbered 0, 1, ...
+    in the order they are added."""
 
     def __init__(self, backend: GroupBackend):
         self.backend = backend
-        self.keys: set = set()
-
-    @property
-    def count(self) -> int:
-        return len(self.keys)
+        self.numbers: dict = {}
+        self.last = -1  # the number of the tuple last passed to add
 
     def add(self, entries: tuple) -> bool:
         """Insert; True if the tuple was new."""
-        key = tuple_key(self.backend, entries)
-        if key in self.keys:
-            return False
-        self.keys.add(key)
-        return True
-
-
-def bfs_layers(backend: GroupBackend, start: tuple, radius: int, budget: int) -> Iterator[list[tuple]]:
-    """The breadth-first layers around start: the one generic BFS loop.
-
-    Yields layer 0, [start], then layers 1, 2, ... up to `radius`, each a
-    list of tuples in discovery order: a layer's tuples, in order, each
-    expanded by the moves of moves_for in order. An empty layer means the
-    component is exhausted; it is yielded and ends the search. A layer is
-    yielded iff the ball including it has at most `budget` vertices, so
-    the search stops short of `radius` after a nonempty layer exactly
-    when the budget binds.
-    """
-    moves = moves_for(len(start))
-    visited = VisitedSet(backend)
-    visited.add(start)
-    layer = [start]
-    yield layer
-    for _ in range(radius):
-        nxt = []
-        for entries in layer:
-            for move in moves:
-                neigh = apply_move(backend, entries, move)
-                if visited.add(neigh):
-                    if visited.count > budget:
-                        return
-                    nxt.append(neigh)
-        layer = nxt
-        yield layer
-        if not layer:
-            return
+        count = len(self.numbers)
+        self.last = self.numbers.setdefault(tuple_key(self.backend, entries), count)
+        return self.last == count
 
 
 @dataclass
@@ -449,10 +414,13 @@ def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _frontier(rows, radius: int, budget: int) -> Iterator[tuple[np.ndarray, _Packing]]:
-    """The BFS layers of bfs_layers, as (sorted keys, packing) pairs.
+    """The breadth-first layers around the rows' start, as (sorted keys,
+    packing) pairs.
 
-    Yields layer 0, then each kept layer, under bfs_layers' rules for the
-    budget and for an exhausted component. The move graph is symmetric,
+    Yields layer 0, then layers 1, 2, ... up to `radius`. A layer is
+    yielded iff the ball including it has at most `budget` vertices; an
+    empty layer means the component is exhausted, and it is yielded and
+    ends the search. The move graph is symmetric,
     so a neighbour of layer r-1 lies in layer r-2, r-1 or r: checking
     against the two previous layers finds layer r exactly. The frontier
     is expanded in chunks, every move of a chunk at once; a layer's new
@@ -586,38 +554,40 @@ def components_finite(backend, n: int, max_tuples: int = 10_000_000) -> Componen
 
 
 def ball_to_dot(backend: GroupBackend, start: tuple, radius: int, max_vertices: int = 2000) -> str:
-    """DOT dump of the explored ball; refuses above max_vertices.
+    """DOT dump of the ball, from one breadth-first pass; refuses above
+    max_vertices.
 
-    Every move from each vertex of layers 0..radius-1 is one edge, listed
-    once per unordered pair of vertex names; names follow first mention.
+    Each vertex of layers 0..radius-1 is expanded once, by the moves of
+    moves_for in order; every move is one edge, listed at the first move
+    between its unordered pair. A vertex is named by its discovery number.
+    The refusal comes as soon as the ball found so far exceeds
+    max_vertices, so it is refused iff the ball of the radius is.
     """
     if radius < 0:
         raise PrpError(f"need radius >= 0, got radius {radius}")
-    layers = list(bfs_layers(backend, start, radius, budget=max_vertices + 1))
-    truncated = len(layers) <= radius and layers[-1]
-    if truncated or sum(map(len, layers)) > max_vertices:
-        raise PrpError(f"ball exceeds {max_vertices} vertices; refusing DOT dump")
-    names: dict = {}
-
-    def name_of(entries: tuple) -> str:
-        key = tuple_key(backend, entries)
-        if key not in names:
-            names[key] = f"v{len(names)}"
-        return names[key]
-
-    lines = ["graph prp_ball {"]
-    lines.append(f'  label="{backend.describe()} ball radius {radius}";')
-    seen_pairs = set()
+    too_many = f"ball exceeds {max_vertices} vertices; refusing DOT dump"
+    if max_vertices < 1:  # the start alone
+        raise PrpError(too_many)
     moves = moves_for(len(start))
-    for layer in layers[:radius]:
-        for a in layer:
-            na = name_of(a)
+    visited = VisitedSet(backend)
+    visited.add(start)
+    layer = [(start, 0)]  # the tuples of one layer, with their numbers
+    lines = ["graph prp_ball {", f'  label="{backend.describe()} ball radius {radius}";']
+    pairs = set()
+    for _ in range(radius):
+        nxt = []
+        for a, na in layer:
             for move in moves:
-                nb = name_of(apply_move(backend, a, move))
+                b = apply_move(backend, a, move)
+                if visited.add(b):
+                    if len(visited.numbers) > max_vertices:
+                        raise PrpError(too_many)
+                    nxt.append((b, visited.last))
+                nb = visited.last
                 pair = (min(na, nb), max(na, nb))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                lines.append(f"  {na} -- {nb};")
+                if pair not in pairs:
+                    pairs.add(pair)
+                    lines.append(f"  v{na} -- v{nb};")
+        layer = nxt
     lines.append("}")
     return "\n".join(lines)

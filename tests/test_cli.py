@@ -523,6 +523,27 @@ def test_given_options_are_read_as_given(capsys, monkeypatch, tmp_path, argv, co
     assert list(tmp_path.iterdir()) == []  # --out "" writes no file
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["prp", "ball", "--group", "zd", "--d", "2", "--omega", "db", "--radius", "1"],
+     "error: --omega is not read by --group zd\n"),
+    (["prp", "ball", "--group", "zd", "--prefix", "b", "--radius", "1"],
+     "error: --prefix is not read by --group zd\n"),
+    (["element", "reduce", "--word", "ab", "--omega", "db", "--grp", "both.grp", "--group", "G"],
+     "error: --omega is not read by --grp\n"),
+    (["prp", "ball", "--d", "3", "--radius", "1"], "error: --d is not read by a tree group\n"),
+    (["element", "reduce", "--word", "ab", "--group", "zd"], "error: --group 'zd' is not read without --grp\n"),
+    (["prp", "components", "--group", "z2k", "--p", "5", "--k", "2"], "error: --p is not read by --group z2k\n"),
+    (["prp", "ball", "--group", "foo", "--omega", "db", "--radius", "1"], "error: unknown finite group alias 'foo'\n"),
+    (["rw-speed", "--group", "zpn", "--k", "2", "--radius", "1"], "error: --k is not read by --group zpn\n"),
+], ids=["omega-with-zd", "prefix-with-zd", "omega-with-grp", "d-with-tree", "zd-for-element",
+        "p-with-z2k", "omega-with-unknown-alias", "k-with-zpn"])
+def test_unread_options_are_refused(capsys, monkeypatch, tmp_path, argv, err):
+    # A given option is read, or the command names it in one error line.
+    (tmp_path / "both.grp").write_text(GRP)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["element", "reduce", "--word", "abd"],
     ["prp", "ball", "--radius", "1"],
@@ -736,6 +757,19 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, cold_parser):
         assert run_any(capsys, ["prp", "ball", "--radius", "1", "--seed", "5"])[0] == 1
     assert commands().count("prplab") == 1
     assert commands()[:4] == ["prplab cert", "prplab element", "prplab prp", "prplab"]
+    # The top-level parser wires no command: each is wired once per process.
+    assert built.count("prplab prp ball") == 1 and "prplab walk" not in wired
+
+
+def test_a_first_word_that_is_no_command_is_answered_by_the_top_parser(capsys, monkeypatch, cold_parser):
+    # The top-level parser knows each command's name only, so what follows
+    # an unknown first word is reported with it, help included.
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = run_any(capsys, ["frobnicate"])[2].split("error: ")[0]
+    assert usage.startswith("usage: prplab [-h] [--version]\n")
+    for argv in (["--bogus", "walk", "--m", "1"], ["--bogus", "walk", "--help"]):
+        unread = " ".join(argv[:1] + argv[2:])
+        assert run_any(capsys, argv) == (1, "", f"{usage}error: unrecognized arguments: {unread}\n")
 
 
 def nested_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -744,11 +778,24 @@ def nested_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.Argum
             for name, p in action.choices.items()}
 
 
+def full_parser() -> argparse.ArgumentParser:
+    """One parser that wires every command under the top-level one, as main
+    once parsed every command line."""
+    top = cli._Parser(prog="prplab", description=cli.__doc__)
+    top.add_argument("--version", action="version", version=f"prplab {cli.__version__}")
+    sub = top.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, wire) in cli.COMMANDS.items():
+        wire(sub.add_parser(name, help=help_text))
+    return top
+
+
 def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, cold_parser):
-    # The parser wired for one command answers every command line, help and
-    # usage errors included, byte for byte as the parser of all commands.
+    # The parser wired for one command, and the top-level parser that wires
+    # none, answer every command line that starts with a command or with a
+    # top-level option, help and usage errors included, byte for byte as
+    # one parser of all commands.
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    full = cli.build_parser()
+    full = full_parser()
     lines = [["cert", "verify", "a", "b"], ["cert"], ["frobnicate"], [], ["prp", "ball", "--radius", "x"],
              ["--help"], ["--version"], ["cert", "verify", "--version"], ["walk", "--m"], ["cert", "--", "x"],
              ["prp", "ball", "--radius", "1", "--seed", "5"], ["rw-speed", "--trials", "2", "x", "--steps", "1"],

@@ -3,7 +3,7 @@
 `prp.ball` and `randomwalk.rw_speed` run on `prp._frontier`, over rows of
 interned element ids for tree groups and of coordinates for Z^d and Z_p^d,
 with int64 keys while they fit and Python ints beyond. The oracles are
-`prp.bfs_layers` for the layers (`conftest.ball_generic` for the tables)
+`conftest.bfs_layers` for the layers (`conftest.ball_generic` for the tables)
 and the object-level walk below (the per-trial walk over element tuples
 that keyed each endpoint with `tuple_key`) for the walks. The layer merge,
 `prp._unique`, is checked against `np.unique` of the concatenated parts.
@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_generic, trial_seed
+from conftest import ball_generic, bfs_layers, trial_seed
 from prplab import prp
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
 from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
-from prplab.prp import apply_move, ball, bfs_layers, moves_for, tuple_key
+from prplab.prp import apply_move, ball, moves_for, tuple_key
 from prplab.randomwalk import _distance_map, rw_speed
 from prplab.words import word
 

@@ -1,10 +1,14 @@
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ball_generic
+from conftest import ball_generic, bfs_layers
+from prplab import prp
 from prplab.backends import FreeAbelianBackend, ModVectorBackend, TreeBackend
-from prplab.omega import CLASSICAL_OMEGA
+from prplab.omega import CLASSICAL_OMEGA, OmegaSequence
 from prplab.prp import (
     BallTable,
     NielsenMove,
@@ -303,3 +307,84 @@ class TestDot:
         S = (z1.element((1,)), z1.element((1,)))
         with pytest.raises(PrpError, match="radius"):
             ball_to_dot(z1, S, -1)
+
+    @pytest.mark.parametrize("case, index, radius, calls", [
+        ("dcb", 2, 2, 912), ("db", 4, 2, 1840), ("z2", 0, 4, 376), ("z52", 1, 3, 2616)])
+    def test_dot_expands_each_vertex_once(self, case, index, radius, calls):
+        # One move per vertex of layers 0..radius-1 and per move of moves_for:
+        # 4n(n-1) |B(radius-1)| calls, and one insertion more for the start.
+        backend, start = DOT_STARTS[case][index]
+        inner = ball(backend, start, radius - 1).count_at(radius - 1)
+        assert calls == len(moves_for(len(start))) * inner
+        with mock.patch.object(prp, "apply_move", wraps=prp.apply_move) as applied, \
+                mock.patch.object(prp.VisitedSet, "add", autospec=True, side_effect=prp.VisitedSet.add) as added:
+            ball_to_dot(backend, start, radius)
+        assert (applied.call_count, added.call_count) == (calls, calls + 1)
+
+
+def oracle_dot(backend, start: tuple, radius: int, max_vertices: int) -> str | None:
+    """The DOT text of ball_to_dot, or None where it refuses: the layers of
+    conftest's bfs_layers, then a second pass over layers 0..radius-1 that
+    names each vertex at its first mention."""
+    layers = list(bfs_layers(backend, start, radius, max_vertices + 1))
+    if (len(layers) <= radius and layers[-1]) or sum(map(len, layers)) > max_vertices:
+        return None
+    names: dict = {}
+
+    def name(entries: tuple) -> str:
+        return names.setdefault(tuple_key(backend, entries), f"v{len(names)}")
+
+    lines = ["graph prp_ball {", f'  label="{backend.describe()} ball radius {radius}";']
+    pairs = set()
+    for layer in layers[:radius]:
+        for a in layer:
+            na = name(a)
+            for move in moves_for(len(start)):
+                nb = name(apply_move(backend, a, move))
+                if frozenset((na, nb)) not in pairs:
+                    pairs.add(frozenset((na, nb)))
+                    lines.append(f"  {na} -- {nb};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _tree_starts(omega: OmegaSequence) -> list[tuple]:
+    backend = TreeBackend(omega)
+    return [(backend, tuple(word(omega, w) for w in letters))
+            for letters in (["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"], ["ab", "d", ""], ["a", "b", "c", "d", ""])]
+
+
+def _vector_starts(backend, *starts) -> list[tuple]:
+    return [(backend, tuple(backend.element(coords) for coords in start)) for start in starts]
+
+
+# Starts by group: tree tuples over (dcb)* and (db)*, from two generators
+# to the paper's (a, b, c, d, 1), and vectors over Z, Z^2, Z_3^2 and Z_5^2.
+DOT_STARTS = {
+    "dcb": _tree_starts(CLASSICAL_OMEGA),
+    "db": _tree_starts(OmegaSequence("", "db")),
+    "z1": _vector_starts(FreeAbelianBackend(1), [(1,), (1,)], [(2,), (3,)], [(1,), (0,), (0,)], [(5,)]),
+    "z2": _vector_starts(FreeAbelianBackend(2), [(1, 0), (0, 1)], [(1, 0), (0, 1), (0, 0)], [(2, 1), (1, 1)]),
+    "z32": _vector_starts(ModVectorBackend(3, 2), [(1, 0), (0, 1)], [(1, 0), (0, 1), (0, 0)]),
+    "z52": _vector_starts(ModVectorBackend(5, 2), [(1, 0), (0, 1)], [(1, 2), (0, 1), (4, 4)]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(DOT_STARTS)).flatmap(lambda case: st.sampled_from(DOT_STARTS[case])),
+       st.integers(0, 4), st.sampled_from([0, 1]) | st.integers(2, 60) | st.just(1000),
+       st.sampled_from([None, -1, 0]))
+def test_dot_matches_the_two_pass_oracle(case, radius, max_vertices, at_size):
+    # One pass that numbers vertices as it finds them gives the text, and
+    # the refusals, of the layers followed by a naming pass. `at_size` puts
+    # max_vertices one below or at the size of the ball, where small.
+    backend, start = case
+    table = ball(backend, start, radius, budget=1000)
+    if at_size is not None and not table.truncated:
+        max_vertices = table.count_at(radius) + at_size
+    want = oracle_dot(backend, start, radius, max_vertices)
+    if want is None:
+        with pytest.raises(PrpError, match=f"^ball exceeds {max_vertices} vertices; refusing DOT dump$"):
+            ball_to_dot(backend, start, radius, max_vertices)
+    else:
+        assert ball_to_dot(backend, start, radius, max_vertices) == want
